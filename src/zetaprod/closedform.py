@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (bernoulli_number, bernoulli_poly,
-                       falling_factorial_int, harmonic, stirling1_unsigned)
+from .exactnum import (bernoulli_number, bernoulli_poly, harmonic,
+                       stirling1_unsigned)
 from .hurwitz import (EMConfig, DEFAULT_EM, agm, digamma, euler_gamma,
                       hurwitz_zeta, hurwitz_zeta_deriv, log_bendersky,
                       log_gamma)
@@ -89,7 +89,7 @@ def s_d_closed(d: int, s: float, u: float,
         raise ValueError(f"s_d_closed: s = {s} hits a zeta pole offset for "
                          f"d = {d} (s in 1..{d + 1} excluded)")
     row = _float_row(d, u)
-    fact = falling_factorial_int(d)
+    fact = math.factorial(d)
     total = 0.0
     err = 0.0
     for k in range(d + 1):
@@ -107,7 +107,7 @@ def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
     if not u > 0:
         raise ValueError("log_z_closed: u must be > 0")
     row = _float_row(d, u)
-    fact = falling_factorial_int(d)
+    fact = math.factorial(d)
     total = math.log(u) / (d + 1)
     err = _PRIM_ERR
     for k in range(d + 1):
@@ -131,7 +131,7 @@ def log_z_explicit_u1(d: int, cfg: EMConfig = DEFAULT_EM) -> Approximation:
     if d < 1:
         raise ValueError("log_z_explicit_u1: d must be >= 1")
     total = (math.log(2.0 * math.pi) - 1.0) / (2 * d)
-    fact = falling_factorial_int(d)
+    fact = math.factorial(d)
     acc = Fraction(0)
     for k in range(1, d // 2 + 1):
         acc -= stirling1_unsigned(d, 2 * k) * harmonic(2 * k) * bernoulli_number(2 * k)

@@ -20,20 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "BigRational",
     "RationalPoly",
     "binomial",
     "bernoulli_number",
     "bernoulli_poly",
     "harmonic",
     "stirling1_unsigned",
-    "falling_factorial_int",
 ]
-
-# Exact rational backbone.  fractions.Fraction already guarantees the
-# invariants we need: always reduced, positive denominator, exact arithmetic
-# on arbitrary-size integers.
-BigRational = Fraction
 
 _lock = threading.Lock()
 
@@ -72,11 +65,6 @@ class RationalPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
 
 
 def binomial(n: int, k: int) -> int:
@@ -147,10 +135,3 @@ def stirling1_unsigned(n: int, m: int) -> int:
                 row[j] += (nn - 1) * prev[j]
             _stirling_rows.append(row)
         return _stirling_rows[n][m]
-
-
-def falling_factorial_int(n: int) -> int:
-    """n! as an exact integer (convenience wrapper used by closed forms)."""
-    if n < 0:
-        raise ValueError("factorial: n must be >= 0")
-    return math.factorial(n)

@@ -1,10 +1,14 @@
 """Tanh-sinh quadrature and the integral routes to the product logarithms.
 
 Engine: the double-exponential substitution x = (1 + tanh((pi/2) sinh tau))/2
-on (0, 1), refined by halving the step until two levels agree.  Integrands
-receive the node x together with its distance to the nearest endpoint
-computed without cancellation, so endpoint-singular factors such as x^(u-1)
-or (1-x)^(-d) stay stable at node distances down to ~1e-290.
+on (0, 1), refined by halving the step until two levels agree.  One
+refinement loop serves every integral here: it sums one integrand (node
+values of shape (n,)) or a batch of m integrands on shared nodes (shape
+(m, n)), as the nested passes of the double and preliminary routes do.
+Each level's nodes are cached with their distance to the nearest endpoint
+and the complements 1-x and log x, all computed without cancellation, so
+endpoint-singular factors such as x^(u-1) or (1-x)^(-d) stay stable at node
+distances down to ~1e-290.
 
 Routes (d or alpha is the *integrand* index; the value is the log-product
 one step down, log z_{d-1} / log z_{alpha-1}):
@@ -30,21 +34,20 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .series import Approximation, EvalParams
+from .series import Approximation
 
 __all__ = [
     "QuadConfig",
-    "IntegrandSpec",
     "QuadratureNonConvergence",
     "tanh_sinh_01",
     "integrate_single_d",
     "integrate_double",
     "integrate_prelim",
     "integrate_elementary_half",
-    "evaluate_integrand_route",
 ]
 
 _EPS = 2.0 ** -52
@@ -81,45 +84,38 @@ class QuadConfig:
 DEFAULT_QUAD = QuadConfig()
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Dispatch record for the integral routes."""
-
-    kind: str  # single_d | double_alpha | prelim_alpha | elementary_half
-    params: EvalParams
-
-    def __post_init__(self):
-        if self.kind not in ("single_d", "double_alpha", "prelim_alpha",
-                             "elementary_half"):
-            raise ValueError(f"IntegrandSpec: unknown kind {self.kind!r}")
-        if self.kind == "single_d":
-            a = self.params.alpha
-            if not (float(a) == int(a) and a >= 0):
-                raise ValueError("single_d requires integer d >= 0")
-        if self.kind in ("double_alpha", "prelim_alpha"):
-            if not self.params.alpha > -1:
-                raise ValueError(f"{self.kind} requires alpha > -1")
-        if self.kind == "elementary_half":
-            if self.params.alpha != 0.5 or self.params.u != 1.0:
-                raise ValueError("elementary_half is pinned to alpha=1/2, u=1")
-
-
 # --------------------------------------------------------------------------
 # node tables
 # --------------------------------------------------------------------------
 
 _TAU_MAX = 6.2          # node distances bottom out near exp(-2*(pi/2)*sinh)
 _MIN_DELTA = 1e-290     # keep exponentials like delta^(-0.95) finite
-_node_cache: dict[int, tuple] = {}
+
+
+class _Nodes(NamedTuple):
+    """The nodes new at one level, with step h and weights w.
+
+    delta is the distance to the nearest endpoint (x on the left half, 1-x
+    on the right half), logd = log(delta), and right marks the right half.
+    eps = 1-x and log_x = log(x) are assembled from delta and logd, so
+    neither cancels at either endpoint.
+    """
+
+    x: np.ndarray
+    delta: np.ndarray
+    logd: np.ndarray
+    w: np.ndarray
+    right: np.ndarray
+    eps: np.ndarray
+    log_x: np.ndarray
+    h: float
+
+
+_node_cache: dict[int, _Nodes] = {}
 _node_lock = threading.Lock()
 
 
-def _level_nodes(level: int):
-    """(x, delta, logd, w) for the nodes new at this level.
-
-    delta = distance to the nearest endpoint (x on the left half, 1-x on
-    the right half) and logd = log(delta), both free of cancellation.
-    """
+def _level_nodes(level: int) -> _Nodes:
     with _node_lock:
         cached = _node_cache.get(level)
         if cached is not None:
@@ -139,9 +135,57 @@ def _level_nodes(level: int):
         w = math.pi * np.cosh(tau) * e2 / (1.0 + e2) ** 2
         x = np.where(tau >= 0, 1.0 - delta, delta)
         keep = (w > 0) & (delta > _MIN_DELTA)
-        out = (x[keep], delta[keep], logd[keep], w[keep])
+        x, delta, logd, w = x[keep], delta[keep], logd[keep], w[keep]
+        right = x > 0.5
+        eps = np.where(right, delta, 1.0 - x)
+        log_x = np.where(right, np.log1p(-delta * right), logd)
+        out = _Nodes(x, delta, logd, w, right, eps, log_x, h)
+        for arr in out[:-1]:        # shared by every caller and thread
+            arr.flags.writeable = False
         _node_cache[level] = out
         return out
+
+
+def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
+    """Sum f over the tanh-sinh levels, halving the step until they agree.
+
+    f(nodes) gives the integrand at a level's new nodes: shape (n,) for one
+    integrand, (m, n) for a batch, so the value has shape () or (m,).  From
+    level 3 on, refinement stops once max(|change| * weight) <= tol; weight
+    is a scalar or one factor per batch row.  Returns (value, change,
+    nodes_used).  Raises QuadratureNonConvergence when level_max is
+    exhausted; a batch reports its largest |value| as the partial value.
+    """
+    S = 0.0
+    change = math.inf
+    nodes_used = 0
+    for level in range(cfg.level_max + 1):
+        nodes = _level_nodes(level)
+        S = S + f(nodes) @ nodes.w
+        nodes_used += len(nodes.x)
+        value = nodes.h * S
+        if level >= 3:
+            change = float(np.max(np.abs(value - prev) * weight))
+            if change <= tol:
+                return value, change, nodes_used
+        prev = value
+    partial = float(np.max(np.abs(value))) if np.ndim(value) else float(value)
+    raise QuadratureNonConvergence(partial, change, cfg.level_max)
+
+
+def _integrate(f, cfg: QuadConfig) -> tuple[float, float, int]:
+    """One integrand f(nodes) of shape (n,) to abs_tol; non-finite values
+    raise ValueError.  Returns (value, err_est, nodes_used)."""
+    def checked(nodes):
+        fx = np.asarray(f(nodes), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            bad = nodes.x[~np.isfinite(fx)][:3]
+            raise ValueError(f"integrand returned non-finite values near x={bad}")
+        return fx
+
+    value, change, nodes_used = _refine(checked, cfg, cfg.abs_tol)
+    value = float(value)
+    return value, max(change, 8.0 * _EPS * abs(value)), nodes_used
 
 
 def tanh_sinh_01(f, cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float, int]:
@@ -149,30 +193,11 @@ def tanh_sinh_01(f, cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float, int]:
 
     f(x, delta, logd, right) is called with numpy arrays: delta is the
     distance to the nearest endpoint, logd its log, and right a boolean mask
-    (True where delta measures the distance to 1).  Raises
-    QuadratureNonConvergence when level_max is exhausted.
+    (True where delta measures the distance to 1).  Raises ValueError when f
+    returns a non-finite value and QuadratureNonConvergence when level_max
+    is exhausted.
     """
-    S = 0.0
-    prev = None
-    value = math.nan
-    change = math.inf
-    nodes_used = 0
-    for level in range(cfg.level_max + 1):
-        x, delta, logd, w = _level_nodes(level)
-        right = x > 0.5
-        fx = np.asarray(f(x, delta, logd, right), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            bad = x[~np.isfinite(fx)][:3]
-            raise ValueError(f"integrand returned non-finite values near x={bad}")
-        S += float(np.dot(w, fx))
-        nodes_used += len(x)
-        value = 2.0 ** -level * S
-        if prev is not None:
-            change = abs(value - prev)
-            if level >= 3 and change <= cfg.abs_tol:
-                return value, max(change, 8.0 * _EPS * abs(value)), nodes_used
-        prev = value
-    raise QuadratureNonConvergence(value, change, cfg.level_max)
+    return _integrate(lambda n: f(n.x, n.delta, n.logd, n.right), cfg)
 
 
 # --------------------------------------------------------------------------
@@ -249,19 +274,18 @@ def _bracket_values(d: int, eps: np.ndarray, log_x: np.ndarray,
 def integrate_single_d(d: int, u: float,
                        cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
     """Single-integral route for integer d >= 0; the value is log z_{d-1}(u)."""
-    if d < 0:
-        raise ValueError("integrate_single_d: d must be >= 0")
+    if not (float(d).is_integer() and d >= 0):
+        raise ValueError("integrate_single_d: d must be an integer >= 0")
     if not u > 0:
         raise ValueError("integrate_single_d: u must be > 0")
+    d = int(d)
 
-    def f(x, delta, logd, right):
-        eps = np.where(right, delta, 1.0 - x)
-        log_x = np.where(right, np.log1p(-delta * right), logd)
-        xp = np.exp((u - 1.0) * log_x)
-        return xp * _bracket_values(d, eps, log_x, cfg.edge_guard)
+    def f(nodes):
+        xp = np.exp((u - 1.0) * nodes.log_x)
+        return xp * _bracket_values(d, nodes.eps, nodes.log_x, cfg.edge_guard)
 
-    value, err, nodes = tanh_sinh_01(f, cfg)
-    return Approximation(value, err, nodes, "integral_single")
+    value, err, nodes_used = _integrate(f, cfg)
+    return Approximation(value, err, nodes_used, "integral_single")
 
 
 # --------------------------------------------------------------------------
@@ -283,51 +307,24 @@ def integrate_double(alpha: float, u: float,
         raise ValueError("integrate_double: u must be > 0")
     inner_tol = cfg.abs_tol / 10.0
 
-    def inner_batch(eps_p, log_p, scaled_wp):
-        S = np.zeros(len(eps_p))
-        prev = None
-        for level in range(cfg.level_max + 1):
-            xq, dq, logdq, wq = _level_nodes(level)
-            rq = xq > 0.5
-            eps_q = np.where(rq, dq, 1.0 - xq)
-            log_q = np.where(rq, np.log1p(-dq * rq), logdq)
-            log_pq = log_p[:, None] + log_q[None, :]
-            one_minus_pq = (eps_p[:, None] + eps_q[None, :]
-                            - eps_p[:, None] * eps_q[None, :])
-            expo = (alpha * (np.log(eps_p)[:, None] - np.log(one_minus_pq))
-                    + (u - 1.0) * log_pq)
-            F = -np.exp(expo) / log_pq
-            S += F @ wq
-            val = 2.0 ** -level * S
-            if prev is not None and level >= 3:
-                drift = float(np.max(np.abs(val - prev) * scaled_wp))
-                if drift <= inner_tol:
-                    return val
-            prev = val
-        raise QuadratureNonConvergence(float(np.max(np.abs(prev))), math.inf,
-                                       cfg.level_max)
+    def outer(p):
+        eps_p = p.eps[:, None]
+        log_p = p.log_x[:, None]
+        log_eps_p = np.log(p.eps)[:, None]
 
-    S = 0.0
-    prev = None
-    value = math.nan
-    change = math.inf
-    nodes = 0
-    for level in range(cfg.level_max + 1):
-        xp, dp, logdp, wp = _level_nodes(level)
-        rp = xp > 0.5
-        eps_p = np.where(rp, dp, 1.0 - xp)
-        log_p = np.where(rp, np.log1p(-dp * rp), logdp)
-        g = inner_batch(eps_p, log_p, wp * 2.0 ** -level)
-        S += float(np.dot(wp, g))
-        nodes += len(xp)
-        value = 2.0 ** -level * S
-        if prev is not None:
-            change = abs(value - prev)
-            if level >= 3 and change <= cfg.abs_tol:
-                return Approximation(value, max(change, 8.0 * _EPS * abs(value)),
-                                     nodes, "integral_double")
-        prev = value
-    raise QuadratureNonConvergence(value, change, cfg.level_max)
+        def inner(q):
+            log_pq = log_p + q.log_x[None, :]
+            one_minus_pq = eps_p + q.eps[None, :] - eps_p * q.eps[None, :]
+            expo = (alpha * (log_eps_p - np.log(one_minus_pq))
+                    + (u - 1.0) * log_pq)
+            return -np.exp(expo) / log_pq
+
+        # the non-finite guard stays off here: at small u the deep nodes
+        # overflow to inf, and that must end in QuadratureNonConvergence
+        return _refine(inner, cfg, inner_tol, p.w * p.h)[0]
+
+    value, err, nodes_used = _integrate(outer, cfg)
+    return Approximation(value, err, nodes_used, "integral_double")
 
 
 # --------------------------------------------------------------------------
@@ -364,26 +361,16 @@ def _bounded_ratio_integral(alpha: float, w: np.ndarray, xcomp: np.ndarray,
     1 - y = xcomp + w (1-v) and log y = log w + log v are assembled from
     complements, so no node can produce 0/0.
     """
-    log_w = np.log1p(-xcomp)
-    S = np.zeros(len(w))
-    prev = None
-    for level in range(cfg.level_max + 1):
-        xv, dv, logdv, wt = _level_nodes(level)
-        rv = xv > 0.5
-        eps_v = np.where(rv, dv, 1.0 - xv)            # 1 - v
-        log_v = np.where(rv, np.log1p(-dv * rv), logdv)
-        log_y = log_w[:, None] + log_v[None, :]
-        one_minus_y = xcomp[:, None] + w[:, None] * eps_v[None, :]
+    log_w = np.log1p(-xcomp)[:, None]
+    xcomp, w = xcomp[:, None], w[:, None]
+
+    def F(v):
+        log_y = log_w + v.log_x[None, :]
+        one_minus_y = xcomp + w * v.eps[None, :]
         num = -np.expm1(alpha * log_y)                # 1 - y^alpha
-        F = w[:, None] * num / one_minus_y
-        S += F @ wt
-        val = 2.0 ** -level * S
-        if prev is not None and level >= 3:
-            if float(np.max(np.abs(val - prev))) <= tol:
-                return val
-        prev = val
-    raise QuadratureNonConvergence(float(np.max(np.abs(prev))), math.inf,
-                                   cfg.level_max)
+        return w * num / one_minus_y
+
+    return _refine(F, cfg, tol)[0]
 
 
 def integrate_prelim(alpha: float, u: float,
@@ -404,24 +391,24 @@ def integrate_prelim(alpha: float, u: float,
         raise ValueError("integrate_prelim: u must be > 0")
     inner_tol = cfg.abs_tol / 10.0
 
-    def f(x, delta, logd, right):
-        eps = np.where(right, delta, 1.0 - x)          # w = 1 - x
-        log_x = np.where(right, np.log1p(-delta * right), logd)
-        ratio = np.empty_like(x)                       # G(w) / w^alpha
+    def f(nodes):
+        eps, log_x = nodes.eps, nodes.log_x            # w = 1 - x
+        ratio = np.empty_like(eps)                     # G(w) / w^alpha
         small = eps <= 0.6
         if small.any():
             ratio[small] = _geom_tail_series_scaled(alpha, eps[small], inner_tol)
         big = ~small
         if big.any():
-            xc = np.where(right, 1.0 - eps, x)[big]    # x, exact on the left
-            H = _bounded_ratio_integral(alpha, eps[big], xc, cfg, inner_tol)
+            # w > 0.6 puts x on the left half, where x itself is exact
+            H = _bounded_ratio_integral(alpha, eps[big], nodes.x[big], cfg,
+                                        inner_tol)
             G = -log_x[big] - H
             ratio[big] = G * np.exp(-alpha * np.log(eps[big]))
         xp = np.exp((u - 1.0) * log_x)
         return -xp * ratio / log_x
 
-    value, err, nodes = tanh_sinh_01(f, cfg)
-    return Approximation(value, err, nodes, "integral_prelim")
+    value, err, nodes_used = _integrate(f, cfg)
+    return Approximation(value, err, nodes_used, "integral_prelim")
 
 
 # --------------------------------------------------------------------------
@@ -438,10 +425,9 @@ def integrate_elementary_half(cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
     """
     guard = cfg.edge_guard
 
-    def f(x, delta, logd, right):
-        eps = np.where(right, delta, 1.0 - x)          # 1 - x
-        log_x = np.where(right, np.log1p(-delta * right), logd)
-        out = np.empty_like(x)
+    def f(nodes):
+        eps, log_x = nodes.eps, nodes.log_x
+        out = np.empty_like(eps)
         near1 = eps < guard
         if near1.any():
             # 1 - atanh(sqrt(e))/sqrt(e) = -sum_{m>=1} e^m/(2m+1)
@@ -459,18 +445,6 @@ def integrate_elementary_half(cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
             out[far] = (1.0 - atanh_r / r) / log_x[far]
         return out
 
-    value, err, nodes = tanh_sinh_01(f, cfg)
-    return Approximation(value, err, nodes, "integral_prelim")
+    value, err, nodes_used = _integrate(f, cfg)
+    return Approximation(value, err, nodes_used, "integral_prelim")
 
-
-def evaluate_integrand_route(spec: IntegrandSpec,
-                             cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
-    """Dispatch an IntegrandSpec to its route."""
-    p = spec.params
-    if spec.kind == "single_d":
-        return integrate_single_d(int(p.alpha), p.u, cfg)
-    if spec.kind == "double_alpha":
-        return integrate_double(p.alpha, p.u, cfg)
-    if spec.kind == "prelim_alpha":
-        return integrate_prelim(p.alpha, p.u, cfg)
-    return integrate_elementary_half(cfg)

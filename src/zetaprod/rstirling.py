@@ -43,10 +43,6 @@ class RStirlingRow:
         if len(self.coeffs) != self.n + 1:
             raise ValueError("row must have exactly n+1 coefficients")
 
-    def sum(self):
-        """Value of the generating polynomial at x = 1."""
-        return sum(self.coeffs)
-
 
 def shift_from_u(u) -> object:
     """Shift r = 1 - u, staying in the caller's arithmetic."""

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactnum import binomial, bernoulli_poly, falling_factorial_int
+from .exactnum import binomial, bernoulli_poly
 from .rstirling import row_by_gf, shift_from_u
 
 __all__ = [
@@ -480,5 +480,5 @@ def finite_bernoulli_identity_sides(m: int, d: int, u: Fraction
     rhs = Fraction(0)
     for k in range(d + 1):
         rhs += row.coeffs[k] * bernoulli_poly(m + k)(u)
-    rhs /= falling_factorial_int(d)
+    rhs /= math.factorial(d)
     return lhs, rhs
