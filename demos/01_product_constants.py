@@ -8,16 +8,17 @@ The products
 hide familiar constants: z_-1 = e, z_0 = e^gamma, z_1 = sqrt(2 pi / e),
 z_2 brings in the Glaisher-Kinkelin constant and z_3 adds zeta(3).
 This script evaluates log z_d(1) for d = -1..3 by every route the library
-has and prints them side by side.
+has (the CLI's route table) and prints them side by side.
 """
 
 import math
 
-from zetaprod import (EvalParams, euler_gamma, hurwitz_zeta, integrate_double,
-                      integrate_single_d, log_bendersky, log_z_closed,
-                      log_z_direct)
+from zetaprod import QuadConfig, euler_gamma, hurwitz_zeta, log_bendersky
+from zetaprod.cli import ROUTES
 
 LOG_2PI = math.log(2.0 * math.pi)
+MAX_TERMS = 10000
+QCFG = QuadConfig()
 
 references = {
     -1: ("log e", 1.0),
@@ -29,20 +30,22 @@ references = {
         + hurwitz_zeta(3.0, 1.0).value / (8.0 * math.pi ** 2)),
 }
 
-print(f"{'d':>3} {'closed':>20} {'series':>20} {'single-int':>20} "
-      f"{'double-int':>20} {'reference':>20}")
+
+def cell(route, alpha: float) -> str:
+    if route.declines(alpha) is not None:
+        return f"{'(declines)':>17}"
+    return f"{route.evaluate(alpha, 1.0, MAX_TERMS, QCFG).value:>17.14f}"
+
+
+print(f"{'d':>3}" + "".join(f"{r.name:>17}" for r in ROUTES)
+      + f"{'reference':>17}")
 for d in range(-1, 4):
-    closed = (f"{log_z_closed(d, 1.0).value:>20.15f}" if d >= 0
-              else f"{'(no closed form)':>20}")
-    series = log_z_direct(EvalParams(float(d), 1.0), 10000, tightened=True).value
-    single = integrate_single_d(d + 1, 1.0).value
-    double = integrate_double(float(d) + 1.0, 1.0).value
     name, ref = references[d]
-    print(f"{d:>3} {closed} {series:>20.15f} {single:>20.15f} "
-          f"{double:>20.15f} {ref:>20.15f}")
+    print(f"{d:>3}" + "".join(cell(r, float(d)) for r in ROUTES)
+          + f"{ref:>17.14f}")
     print(f"    = {name}")
 
 print()
-print("The three routes are independent: the closed form runs through")
-print("Hurwitz zeta special values over shifted r-Stirling rows, the series")
-print("sums forward differences of log, and the integrals never see either.")
+print("The routes are independent: the closed form runs through Hurwitz")
+print("zeta special values over shifted r-Stirling rows, the series sums")
+print("forward differences of log, and the integrals never see either.")

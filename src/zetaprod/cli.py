@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from .closedform import log_z_closed
 from .hurwitz import (agm, euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv,
@@ -47,6 +50,7 @@ __all__ = [
     "EXIT_IO",
     "REPORT_SCHEMA_V1",
     "CONSTANTS_SCHEMA_V1",
+    "ROUTES",
     "ROUTE_CHOICES",
     "derive_constants",
     "golden_path",
@@ -57,10 +61,52 @@ EXIT_NUMERIC_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-ROUTE_CHOICES = ("closed", "series", "integral-single", "integral-double",
-                 "integral-prelim", "all")
-
 SCHEMA_VERSION = 1
+
+
+class Route(NamedTuple):
+    name: str
+    declines: Callable[[float], str | None]
+    evaluate: Callable[[float, float, int, QuadConfig], Approximation]
+
+
+def _is_int(alpha: float) -> bool:
+    return float(alpha) == int(alpha)
+
+
+def _excluded(alpha: float) -> str | None:
+    return (f"alpha = {alpha} is an excluded negative integer"
+            if _is_int(alpha) and alpha <= -2 else None)
+
+
+# Every route in report order.  declines(alpha) is the reason a route does
+# not apply, or None.  evaluate(alpha, u, max_terms, qcfg) looks up its
+# module-level route function when called, so a name patched at run time
+# is seen.  Integrand index d gives log z_{d-1}: integrals take alpha + 1.
+ROUTES = (
+    Route("closed",
+          lambda a: None if _is_int(a) and a >= 0
+          else "closed form needs integer alpha >= 0",
+          lambda a, u, n, q: log_z_closed(int(a), u)),
+    Route("series", _excluded,
+          lambda a, u, n, q: log_z_direct(
+              EvalParams(a, u), n, DifferenceMethod.FRULLANI, tightened=True)),
+    Route("integral-single",
+          lambda a: _excluded(a) or (
+              None if _is_int(a) and a >= -1
+              else "single integral needs integer alpha >= -1"),
+          lambda a, u, n, q: integrate_single_d(int(a) + 1, u, q)),
+    Route("integral-double",
+          lambda a: _excluded(a) or (None if a > -2
+                                     else "double integral needs alpha > -2"),
+          lambda a, u, n, q: integrate_double(a + 1.0, u, q)),
+    Route("integral-prelim",
+          lambda a: _excluded(a) or (None if a > -2
+                                     else "preliminary integral needs alpha > -2"),
+          lambda a, u, n, q: integrate_prelim(a + 1.0, u, q)),
+)
+
+ROUTE_CHOICES = tuple(r.name for r in ROUTES) + ("all",)
 
 
 @dataclass(frozen=True)
@@ -77,38 +123,42 @@ class GoldenEntry:
             raise ValueError("GoldenEntry: value must be finite")
 
 
+class RouteResult(NamedTuple):
+    route: str
+    value: float
+    err_est: float
+    terms: int
+    ms: float
+
+
 @dataclass
 class EvalReport:
     """One evaluation or cross-check: inputs, per-route results, verdict."""
 
     request: dict
-    results: list = field(default_factory=list)   # (route, value, err, terms, ms)
+    results: list[RouteResult] = field(default_factory=list)
     skipped: list = field(default_factory=list)   # (route, reason)
     deviations: list = field(default_factory=list)  # (route_a, route_b, absdiff, allowed)
     verdict: str | None = None                     # pass | fail | None
-    schema_version: int = SCHEMA_VERSION
 
     def finish(self, tol: float) -> None:
         """Fill pairwise deviations; pass iff every |diff| fits within
         max(tol, combined reported error)."""
-        self.deviations = []
-        ok = True
-        for i in range(len(self.results)):
-            for j in range(i + 1, len(self.results)):
-                ra, rb = self.results[i], self.results[j]
-                diff = abs(ra[1] - rb[1])
-                allowed = max(tol, ra[2] + rb[2])
-                self.deviations.append((ra[0], rb[0], diff, allowed))
-                ok = ok and diff <= allowed
+        self.deviations = [
+            (a.route, b.route, abs(a.value - b.value),
+             max(tol, a.err_est + b.err_est))
+            for a, b in itertools.combinations(self.results, 2)]
+        ok = all(diff <= allowed for (_, _, diff, allowed) in self.deviations)
         self.verdict = "pass" if ok else "fail"
 
     def to_json_obj(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "request": self.request,
             "results": [
-                {"route": r, "value": v, "err_est": e, "terms": t}
-                for (r, v, e, t, _ms) in self.results
+                {"route": r.route, "value": r.value, "err_est": r.err_est,
+                 "terms": r.terms}
+                for r in self.results
             ],
             "skipped": [{"route": r, "reason": why} for (r, why) in self.skipped],
             "deviations": [
@@ -271,64 +321,26 @@ GOLDEN_TOL = 1e-12
 # eval plumbing
 # --------------------------------------------------------------------------
 
-def _applicable_routes(alpha: float):
-    """Map each route to a callable target -> Approximation, or a skip reason.
-
-    The integral routes carry the one-step index shift: the integrand index
-    d (or a) computes log z_{d-1}, so target alpha needs index alpha + 1.
-    """
-    is_int = float(alpha) == int(alpha)
-    routes = {}
-    if is_int and alpha >= 0:
-        routes["closed"] = lambda u, n, q: log_z_closed(int(alpha), u)
-    else:
-        routes["closed"] = "closed form needs integer alpha >= 0"
-    if is_int and alpha <= -2:
-        reason = f"alpha = {alpha} is an excluded negative integer"
-        routes["series"] = reason
-        routes["integral-double"] = reason
-        routes["integral-prelim"] = reason
-        routes["integral-single"] = reason
-        return routes
-    routes["series"] = lambda u, n, q: log_z_direct(
-        EvalParams(alpha, u), n, DifferenceMethod.FRULLANI, tightened=True)
-    if is_int and alpha >= -1:
-        routes["integral-single"] = lambda u, n, q: integrate_single_d(
-            int(alpha) + 1, u, q)
-    else:
-        routes["integral-single"] = "single integral needs integer alpha >= -1"
-    if alpha > -2:
-        routes["integral-double"] = lambda u, n, q: integrate_double(
-            alpha + 1.0, u, q)
-        routes["integral-prelim"] = lambda u, n, q: integrate_prelim(
-            alpha + 1.0, u, q)
-    else:
-        routes["integral-double"] = "double integral needs alpha > -2"
-        routes["integral-prelim"] = "preliminary integral needs alpha > -2"
-    return routes
-
-
 def _run_eval(alpha: float, u: float, route: str, tol: float,
               max_terms: int) -> EvalReport:
     report = EvalReport(request={
         "command": "eval", "alpha": alpha, "u": u, "route": route,
         "tol": tol, "max_terms": max_terms,
     })
-    table = _applicable_routes(alpha)
-    wanted = [r for r in ROUTE_CHOICES[:-1]] if route == "all" else [route]
     qcfg = QuadConfig()
-    for name in wanted:
-        fn = table[name]
-        if isinstance(fn, str):
+    wanted = [r for r in ROUTES if route in ("all", r.name)]
+    for r in wanted:
+        why = r.declines(alpha)
+        if why is not None:
             if route != "all":
-                raise ValueError(f"route {name} inapplicable: {fn}")
-            report.skipped.append((name, fn))
+                raise ValueError(f"route {r.name} inapplicable: {why}")
+            report.skipped.append((r.name, why))
             continue
         t0 = time.perf_counter()
-        approx: Approximation = fn(u, max_terms, qcfg)
+        approx = r.evaluate(alpha, u, max_terms, qcfg)
         ms = 1000.0 * (time.perf_counter() - t0)
-        report.results.append((name, approx.value, approx.err_est,
-                               approx.terms_used, ms))
+        report.results.append(RouteResult(r.name, approx.value, approx.err_est,
+                                          approx.terms_used, ms))
     if not report.results:
         raise ValueError(f"no route applies to alpha = {alpha}: "
                          + "; ".join(f"{r}: {why}" for r, why in report.skipped))
@@ -340,8 +352,9 @@ def _render_eval_plain(report: EvalReport, out) -> None:
     req = report.request
     print(f"log z_alpha(u) at alpha={req['alpha']} u={req['u']}", file=out)
     print(f"{'route':<17}{'value':<24}{'err_est':<12}{'terms':<9}ms", file=out)
-    for (r, v, e, t, ms) in report.results:
-        print(f"{r:<17}{v:<24.16g}{e:<12.3g}{t:<9d}{ms:.1f}", file=out)
+    for r in report.results:
+        print(f"{r.route:<17}{r.value:<24.16g}{r.err_est:<12.3g}{r.terms:<9d}"
+              f"{r.ms:.1f}", file=out)
     for (r, why) in report.skipped:
         print(f"{r:<17}skipped: {why}", file=out)
     for (a, b, d, al) in report.deviations:
@@ -352,8 +365,8 @@ def _render_eval_plain(report: EvalReport, out) -> None:
 def _render_eval_csv(report: EvalReport, out) -> None:
     w = csv.writer(out)
     w.writerow(["route", "value", "err_est", "terms"])
-    for (r, v, e, t, _ms) in report.results:
-        w.writerow([r, repr(v), repr(e), t])
+    for r in report.results:
+        w.writerow([r.route, repr(r.value), repr(r.err_est), r.terms])
 
 
 def cmd_eval(args, out) -> int:
@@ -381,27 +394,25 @@ def cmd_eval(args, out) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_constants(args, out) -> int:
+    path = args.golden or golden_path()
     if args.regen:
-        path = args.golden or golden_path()
         write_golden(path)
         print(f"golden file written: {path}", file=out)
         return EXIT_PASS
-    path = args.golden or golden_path()
     golden = read_golden(path)
     derived = {e.name: e for e in derive_constants()}
     if set(derived) != {e.name for e in golden}:
         raise OSError(f"golden file {path}: entry names do not match the "
                       "derivable constants")
     rows = []
-    ok_all = True
     for e in golden:
         re_derived = derived[e.name].value
         diff = abs(re_derived - e.value)
-        ok = diff <= GOLDEN_TOL
-        ok_all = ok_all and ok
         rows.append({"name": e.name, "expression": e.expression,
                      "value": e.value, "source": e.source,
-                     "rederived": re_derived, "abs_diff": diff, "ok": ok})
+                     "rederived": re_derived, "abs_diff": diff,
+                     "ok": diff <= GOLDEN_TOL})
+    ok_all = all(r["ok"] for r in rows)
     if args.format == "json":
         obj = {"schema_version": SCHEMA_VERSION, "constants": rows,
                "verdict": "pass" if ok_all else "fail"}
@@ -473,8 +484,9 @@ def cmd_crosscheck(args, out) -> int:
         w = csv.writer(out)
         w.writerow(["d", "u", "route", "value", "err_est", "terms"])
         for (d, u), r in zip(cells, reports):
-            for (name, v, e, t, _ms) in r.results:
-                w.writerow([d, u, name, repr(v), repr(e), t])
+            for x in r.results:
+                w.writerow([d, u, x.route, repr(x.value), repr(x.err_est),
+                            x.terms])
     else:
         for (d, u), r in zip(cells, reports):
             worst = max((dev[2] for dev in r.deviations), default=0.0)
@@ -599,7 +611,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out = sys.stdout
     try:
-        return args.fn(args, out)
+        # numpy's overflow warnings are route internals: failures raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.fn(args, out)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

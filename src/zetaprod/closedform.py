@@ -97,7 +97,7 @@ def s_d_closed(d: int, s: float, u: float,
         w = row[k] * (s - k - 1.0)
         total += w * z.value
         err += abs(w) * z.err_est + _PRIM_ERR * abs(w * z.value)
-    return Approximation(total / fact, err / fact, d + 1, "closed_form")
+    return Approximation(total / fact, err / fact, d + 1)
 
 
 def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
@@ -114,7 +114,7 @@ def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
         term, term_err = regularized_term(k, u, cfg)
         total += row[k] * term.value / fact
         err += abs(row[k]) * term_err / fact
-    return Approximation(total, err, d + 1, "closed_form")
+    return Approximation(total, err, d + 1)
 
 
 def log_z_explicit_u1(d: int, cfg: EMConfig = DEFAULT_EM) -> Approximation:
@@ -141,7 +141,7 @@ def log_z_explicit_u1(d: int, cfg: EMConfig = DEFAULT_EM) -> Approximation:
         w = stirling1_unsigned(d, k + 1) * (k + 1)
         total += w * log_bendersky(k, cfg) / fact
         err += abs(w) * 1e-13 / fact
-    return Approximation(total, err, d, "closed_form")
+    return Approximation(total, err, d)
 
 
 SPECIAL_VALUE_TAGS = ("d1_general", "d1_u_half", "d1_u_third_agm",
@@ -164,7 +164,7 @@ def special_value(tag: str, u: float | None = None) -> Approximation:
             raise ValueError("special_value: d1_general needs u > 0")
         v = (0.5 * math.log(u) + (u - 1.0) * digamma(u) + 0.5 - u
              - log_gamma(u) + 0.5 * math.log(2.0 * math.pi))
-        return Approximation(v, 1e-13 * (1 + abs(v)), 1, "closed_form")
+        return Approximation(v, 1e-13 * (1 + abs(v)), 1)
     if u is not None:
         raise ValueError(f"special_value: tag {tag!r} takes no u")
     if tag == "d1_u_half":
@@ -178,4 +178,4 @@ def special_value(tag: str, u: float | None = None) -> Approximation:
     else:
         raise ValueError(f"special_value: unknown tag {tag!r}; "
                          f"known tags: {SPECIAL_VALUE_TAGS}")
-    return Approximation(v, 1e-13 * (1 + abs(v)), 1, "closed_form")
+    return Approximation(v, 1e-13 * (1 + abs(v)), 1)

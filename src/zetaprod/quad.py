@@ -154,7 +154,8 @@ def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     level 3 on, refinement stops once max(|change| * weight) <= tol; weight
     is a scalar or one factor per batch row.  Returns (value, change,
     nodes_used).  Raises QuadratureNonConvergence when level_max is
-    exhausted; a batch reports its largest |value| as the partial value.
+    exhausted, with the partial value of one integrand; a batch reports nan,
+    since its rows are pieces of an outer integrand and estimate nothing.
     """
     S = 0.0
     change = math.inf
@@ -169,7 +170,7 @@ def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
             if change <= tol:
                 return value, change, nodes_used
         prev = value
-    partial = float(np.max(np.abs(value))) if np.ndim(value) else float(value)
+    partial = math.nan if np.ndim(value) else float(value)
     raise QuadratureNonConvergence(partial, change, cfg.level_max)
 
 
@@ -285,7 +286,7 @@ def integrate_single_d(d: int, u: float,
         return xp * _bracket_values(d, nodes.eps, nodes.log_x, cfg.edge_guard)
 
     value, err, nodes_used = _integrate(f, cfg)
-    return Approximation(value, err, nodes_used, "integral_single")
+    return Approximation(value, err, nodes_used)
 
 
 # --------------------------------------------------------------------------
@@ -324,7 +325,7 @@ def integrate_double(alpha: float, u: float,
         return _refine(inner, cfg, inner_tol, p.w * p.h)[0]
 
     value, err, nodes_used = _integrate(outer, cfg)
-    return Approximation(value, err, nodes_used, "integral_double")
+    return Approximation(value, err, nodes_used)
 
 
 # --------------------------------------------------------------------------
@@ -408,7 +409,7 @@ def integrate_prelim(alpha: float, u: float,
         return -xp * ratio / log_x
 
     value, err, nodes_used = _integrate(f, cfg)
-    return Approximation(value, err, nodes_used, "integral_prelim")
+    return Approximation(value, err, nodes_used)
 
 
 # --------------------------------------------------------------------------
@@ -446,5 +447,5 @@ def integrate_elementary_half(cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
         return out
 
     value, err, nodes_used = _integrate(f, cfg)
-    return Approximation(value, err, nodes_used, "integral_prelim")
+    return Approximation(value, err, nodes_used)
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -57,9 +56,6 @@ __all__ = [
     "finite_bernoulli_identity_sides",
 ]
 
-ROUTE_TAGS = ("series", "closed_form", "integral_single",
-              "integral_double", "integral_prelim")
-
 # 53-bit floats lose ~n bits to the alternating cancellation; beyond this
 # order the quadrature representation is the only safe route.
 ALTERNATING_MAX_N = 40
@@ -70,13 +66,9 @@ class DifferenceMethod(str, Enum):
     FRULLANI = "frullani_quadrature"
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0 and float(x) == int(x)
-
-
 @dataclass(frozen=True)
 class EvalParams:
-    """Evaluation point (alpha, u[, s]); d mirrors an integer alpha.
+    """Evaluation point (alpha, u[, s]).
 
     u must be positive.  alpha = -2, -3, ... is never a valid product
     shift; alpha = -1, -2, ... is never a valid S_alpha shift (the checks
@@ -85,16 +77,11 @@ class EvalParams:
 
     alpha: float
     u: float
-    s: Optional[float] = None
-    d: Optional[int] = None
+    s: float | None = None
 
     def __post_init__(self):
         if not self.u > 0:
             raise ValueError("EvalParams: u must be > 0")
-        if self.d is not None:
-            if self.d < 0 or float(self.d) != float(self.alpha):
-                raise ValueError("EvalParams: d must be a nonnegative integer "
-                                 "equal to alpha")
 
     def require_product_valid(self):
         if self.alpha <= -2 and float(self.alpha) == int(self.alpha):
@@ -109,20 +96,17 @@ class EvalParams:
 
 @dataclass(frozen=True)
 class Approximation:
-    """A floating value with an error estimate and provenance tag."""
+    """A value, its error estimate, and the terms (or nodes) it took."""
 
     value: float
     err_est: float
     terms_used: int
-    route: str
 
     def __post_init__(self):
         if not (math.isfinite(self.err_est) and self.err_est >= 0):
             raise ValueError("Approximation: err_est must be finite and >= 0")
-        if self.route not in ROUTE_TAGS:
-            raise ValueError(f"Approximation: unknown route tag {self.route!r}")
-        if self.route == "series" and self.terms_used < 1:
-            raise ValueError("Approximation: series routes use >= 1 term")
+        if self.terms_used < 1:
+            raise ValueError("Approximation: terms_used must be >= 1")
 
 
 # --------------------------------------------------------------------------
@@ -322,7 +306,7 @@ def s_alpha_truncated(p: EvalParams, N: int,
     else:
         c = _fit_decay_coefficient(np.abs(inner[1:]), np.arange(1, N + 1), p.u)
         err = c * N ** (-p.u) / p.u + 1e-15 * (1.0 + abs(value))
-    return Approximation(value, err, N + 1, "series")
+    return Approximation(value, err, N + 1)
 
 
 def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, alpha: float,
@@ -388,7 +372,7 @@ def log_z_direct(p: EvalParams, N: int,
     c_plateau = _fit_decay_coefficient(np.abs(logt[1:]), np.arange(1, N + 1), p.u)
     err_raw = c_plateau * N ** (-p.u) / p.u
     if not tightened:
-        return Approximation(raw_at(N), err_raw + 4e-15 * N ** 0.5, N, "series")
+        return Approximation(raw_at(N), err_raw + 4e-15 * N ** 0.5, N)
 
     ns_all = np.arange(1, N + 1)
     tail_N, unc_N = _tail_model(np.abs(logt[1:]), ns_all, p.u, p.alpha, N)
@@ -402,8 +386,8 @@ def log_z_direct(p: EvalParams, N: int,
         extrapolated = (corrected_N - r * corrected_h) / (1.0 - r)
         spread = abs(corrected_N - corrected_h)
         err = max(unc_N, 0.6 * spread) + 4e-15 * N ** 0.5
-        return Approximation(extrapolated, err, N, "series")
-    return Approximation(corrected_N, unc_N + 4e-15 * N ** 0.5, N, "series")
+        return Approximation(extrapolated, err, N)
+    return Approximation(corrected_N, unc_N + 4e-15 * N ** 0.5, N)
 
 
 def resummed_power_partial(s: float, u: float, N: int) -> float:

@@ -1,16 +1,20 @@
+import argparse
 import csv
 import io
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
 
+from zetaprod import cli
 from zetaprod.cli import (CONSTANTS_SCHEMA_V1, EXIT_IO, EXIT_NUMERIC_FAIL,
-                          EXIT_PASS, EXIT_USAGE, REPORT_SCHEMA_V1,
-                          derive_constants, golden_path, main, read_golden,
-                          write_golden)
+                          EXIT_PASS, EXIT_USAGE, REPORT_SCHEMA_V1, ROUTES,
+                          build_parser, derive_constants, golden_path, main,
+                          read_golden, write_golden)
 from zetaprod.hurwitz import euler_gamma
+from zetaprod.quad import QuadratureNonConvergence, integrate_double
 
 
 def run(capsys, *argv):
@@ -85,6 +89,82 @@ class TestEvalCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["route", "value", "err_est", "terms"]
         assert len(rows) >= 5  # header + at least 4 routes
+
+
+CLOSED = "closed form needs integer alpha >= 0"
+SINGLE = "single integral needs integer alpha >= -1"
+DOUBLE = "double integral needs alpha > -2"
+PRELIM = "preliminary integral needs alpha > -2"
+EXCL_3 = "alpha = -3.0 is an excluded negative integer"
+EXCL_2 = "alpha = -2.0 is an excluded negative integer"
+
+# alpha -> declines() of closed, series, integral-single, -double, -prelim
+DECLINES = {
+    -3.0: (CLOSED, EXCL_3, EXCL_3, EXCL_3, EXCL_3),
+    -2.5: (CLOSED, None, SINGLE, DOUBLE, PRELIM),
+    -2.0: (CLOSED, EXCL_2, EXCL_2, EXCL_2, EXCL_2),
+    -1.5: (CLOSED, None, SINGLE, None, None),
+    -1.0: (CLOSED, None, None, None, None),
+    -0.5: (CLOSED, None, SINGLE, None, None),
+    0.0: (None, None, None, None, None),
+    0.5: (CLOSED, None, SINGLE, None, None),
+    1.0: (None, None, None, None, None),
+    6.0: (None, None, None, None, None),
+}
+
+
+class TestRouteTable:
+    def test_names_in_report_order(self):
+        assert [r.name for r in ROUTES] == [
+            "closed", "series", "integral-single", "integral-double",
+            "integral-prelim"]
+
+    def test_declines(self):
+        got = {a: tuple(r.declines(a) for r in ROUTES) for a in DECLINES}
+        assert got == DECLINES
+
+    def test_route_choices_come_from_the_table(self):
+        ap = build_parser()
+        sub = next(a for a in ap._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        route = next(a for a in sub.choices["eval"]._actions
+                     if a.dest == "route")
+        assert list(route.choices) == [r.name for r in ROUTES] + ["all"]
+
+    def test_route_functions_are_looked_up_when_called(self, capsys,
+                                                        monkeypatch):
+        # tracing replaces the module-level names; the table must see that
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return integrate_double(*args)
+
+        monkeypatch.setattr(cli, "integrate_double", counting)
+        code, _, _ = run(capsys, "eval", "--alpha", "0.5", "--u", "1")
+        assert code == EXIT_PASS
+        assert len(calls) == 1
+        assert calls[0][:2] == (1.5, 1.0)  # integrand index alpha + 1
+
+
+class TestWarnings:
+    def test_no_runtime_warning_from_main(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "eval", "--d", "0", "--u", "0.1")
+        assert code == EXIT_NUMERIC_FAIL
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        # the failing inner pass has no partial value to report
+        assert err.startswith("numeric failure:")
+        assert "partial value nan" in err
+
+    def test_library_still_warns(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QuadratureNonConvergence):
+                integrate_double(1.0, 0.1)
+        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
 class TestConstantsCommand:

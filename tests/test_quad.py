@@ -50,6 +50,14 @@ class TestEngine:
             tanh_sinh_01(lambda x, d, l, r: np.cos(50.0 * x), cfg)
         assert math.isfinite(exc.value.value)
 
+    def test_batch_nonconvergence_has_no_partial_value(self):
+        # a batch's rows are pieces of an outer integrand, not an estimate
+        cfg = QuadConfig(level_max=2, abs_tol=1e-14)
+        freqs = np.array([50.0, 60.0])[:, None]
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            _refine(lambda n: np.cos(freqs * n.x), cfg, cfg.abs_tol)
+        assert math.isnan(exc.value.value)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadConfig(level_max=0)

@@ -23,12 +23,6 @@ class TestEvalParams:
         with pytest.raises(ValueError):
             EvalParams(0.0, 0.0)
 
-    def test_d_mirror(self):
-        p = EvalParams(3.0, 1.0, d=3)
-        assert p.d == 3
-        with pytest.raises(ValueError):
-            EvalParams(3.0, 1.0, d=2)
-
     def test_forbidden_alphas(self):
         EvalParams(-1.0, 1.0).require_product_valid()  # allowed for products
         with pytest.raises(ValueError):
@@ -39,13 +33,14 @@ class TestEvalParams:
 
 
 class TestApproximation:
-    def test_validates_route(self):
+    def test_validates_terms_used(self):
+        Approximation(1.0, 0.0, 1)
         with pytest.raises(ValueError):
-            Approximation(1.0, 0.0, 1, "nonsense")
+            Approximation(1.0, 0.0, 0)
 
     def test_validates_err(self):
         with pytest.raises(ValueError):
-            Approximation(1.0, -1.0, 1, "series")
+            Approximation(1.0, -1.0, 1)
 
 
 class TestLogTn:
