@@ -373,8 +373,12 @@ def cmd_eval(args, out) -> int:
     if (args.d is None) == (args.alpha is None):
         raise ValueError("exactly one of --d / --alpha is required")
     alpha = float(args.d) if args.d is not None else args.alpha
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     if not args.u > 0:
         raise ValueError("u must be > 0")
+    if not math.isfinite(args.u):
+        raise ValueError("u must be finite")
     if not args.tol > 0:
         raise ValueError("tol must be > 0")
     if args.max_terms < 2:
@@ -455,7 +459,7 @@ def _parse_grid_d(text: str) -> list[int]:
 def _parse_grid_u(text: str) -> list[float]:
     try:
         vals = [float(p) for p in text.split(",") if p != ""]
-        if not vals or any(v <= 0 for v in vals):
+        if not vals or any(not 0 < v < math.inf for v in vals):
             raise ValueError
         return vals
     except ValueError:

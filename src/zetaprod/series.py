@@ -13,6 +13,8 @@ are provided and cross-checked:
 
   * alternating_sum: the literal sum, evaluated in high-precision decimal
     arithmetic so cancellation cannot pollute the result; capped at n <= 40.
+    Each (k+u)^(1-s) or ln(k+u) is computed once per point and serves
+    every n.
   * frullani_quadrature: the integral representations
 
         log t_n(u) = int_0^inf (1-e^-t)^n e^(-ut) dt/t          (n >= 1)
@@ -121,28 +123,36 @@ def _decimal_of(x) -> Decimal:
     return Decimal(fr.numerator) / Decimal(fr.denominator)
 
 
-def _log_tn_alternating(n: int, u: float) -> float:
+def _alternating_sums(f: list[Decimal]) -> list[float]:
+    """sum_{k=0}^n (-1)^k C(n,k) f[k] for n = 0..len(f)-1.
+
+    Runs in the caller's decimal context; each f[k] serves every n.
+    """
+    sums = []
+    for n in range(len(f)):
+        total = Decimal(0)
+        for k in range(n + 1):
+            term = Decimal(binomial(n, k)) * f[k]
+            total += -term if k % 2 == 1 else term
+        sums.append(float(total))
+    return sums
+
+
+def _log_tn_alternating(n_max: int, u: float) -> list[float]:
+    """log t_n(u) for n = 0..n_max: the sums over -ln(k+u) (exact negation)."""
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
         uu = _decimal_of(u)
-        total = Decimal(0)
-        for k in range(n + 1):
-            term = Decimal(binomial(n, k)) * (uu + k).ln()
-            total += term if k % 2 == 1 else -term
-        return float(total)
+        return _alternating_sums([-(uu + k).ln() for k in range(n_max + 1)])
 
 
-def _inner_diff_alternating(n: int, s: float, u: float) -> float:
-    """D_n(s,u) by the literal sum in high-precision decimal."""
+def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
+    """D_n(s,u) for n = 0..n_max by the literal sums in high-precision decimal."""
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
         uu = _decimal_of(u)
         e = Decimal(1) - _decimal_of(s)
-        total = Decimal(0)
-        for k in range(n + 1):
-            term = Decimal(binomial(n, k)) * (uu + k) ** e
-            total += -term if k % 2 == 1 else term
-        return float(total)
+        return _alternating_sums([(uu + k) ** e for k in range(n_max + 1)])
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +221,7 @@ def _inner_diff_quad_sweep(s: float, u: float, n_lo: int, n_hi: int) -> np.ndarr
     cc = w * np.exp(-u * t) * t ** (s - 2.0)
     out = np.empty(n_hi - n_lo + 1)
     p = np.exp(n_lo * logbase)
-    for i, _n in enumerate(range(n_lo, n_hi + 1)):
+    for i in range(n_hi - n_lo + 1):
         out[i] = norm * float(np.dot(p, cc))
         p *= base
     return out
@@ -236,8 +246,7 @@ def _inner_differences(s: float, u: float, N: int,
                          "in 53-bit precision; use frullani_quadrature")
     out = np.empty(N + 1)
     cap = min(N, ALTERNATING_MAX_N)
-    for n in range(cap + 1):
-        out[n] = _inner_diff_alternating(n, s, u)
+    out[:cap + 1] = _inner_diff_alternating(cap, s, u)
     if N > cap:
         if float(s) == int(s) and s <= 1.0:
             # terminating positive-integer power: exact zeros past n = 1-s
@@ -272,7 +281,7 @@ def log_tn(n: int, u: float,
         if n > ALTERNATING_MAX_N:
             raise ValueError(f"log_tn: alternating_sum is limited to "
                              f"n <= {ALTERNATING_MAX_N}")
-        return _log_tn_alternating(n, u)
+        return _log_tn_alternating(n, u)[n]
     return _log_tn_quadrature(n, u)
 
 
@@ -358,8 +367,7 @@ def log_z_direct(p: EvalParams, N: int,
         if N > ALTERNATING_MAX_N:
             raise ValueError(f"log_z_direct: alternating_sum is limited to "
                              f"N <= {ALTERNATING_MAX_N}")
-        logt = np.array([0.0] + [_log_tn_alternating(n, p.u)
-                                 for n in range(1, N + 1)])
+        logt = np.array(_log_tn_alternating(N, p.u))
     else:
         logt = log_tn_sweep(p.u, N)
     ns = np.arange(N + 1, dtype=float)

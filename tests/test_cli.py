@@ -311,3 +311,16 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["eval", "--d", "1", "--wat"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "--alpha", "inf", "--u", "1"), "alpha must be finite"),
+        (("eval", "--alpha", "nan", "--u", "1"), "alpha must be finite"),
+        (("eval", "--d", "1", "--u", "inf"), "u must be finite"),
+        (("crosscheck", "--grid-d", "1", "--grid-u", "inf"), "malformed --grid-u"),
+        (("crosscheck", "--grid-d", "1", "--grid-u", "nan"), "malformed --grid-u"),
+    ])
+    def test_non_finite_input_is_a_domain_error(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              functional_eq_residual, inner_diff_exact,
                              resummed_power_partial, log_tn, log_z_direct,
                              s_alpha_truncated)
-from zetaprod.series import log_tn_sweep
+from zetaprod.series import _inner_differences, log_tn_sweep
 
 ALT = DifferenceMethod.ALTERNATING
 FRU = DifferenceMethod.FRULLANI
@@ -89,6 +90,54 @@ class TestLogTn:
         ns = np.arange(50, 501)
         scaled = sweep[50:] * ns ** u
         assert float(scaled.max() / scaled.min()) < 2.0
+
+
+def _dec50(x):
+    fr = Fraction(x)
+    return Decimal(fr.numerator) / Decimal(fr.denominator)
+
+
+def literal_inner_diff(n, s, u):
+    """D_n(s,u) as one literal 50-digit decimal sum, its powers its own."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        uu, e = _dec50(u), Decimal(1) - _dec50(s)
+        total = Decimal(0)
+        for k in range(n + 1):
+            term = Decimal(math.comb(n, k)) * (uu + k) ** e
+            total += -term if k % 2 == 1 else term
+        return float(total)
+
+
+def literal_log_tn(n, u):
+    """log t_n(u) as one literal 50-digit decimal sum, its logs its own."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        uu = _dec50(u)
+        total = Decimal(0)
+        for k in range(n + 1):
+            term = Decimal(math.comb(n, k)) * (uu + k).ln()
+            total += term if k % 2 == 1 else -term
+        return float(total)
+
+
+class TestSharedAlternatingSums:
+    """The sums that share one list of powers or logs per point equal the
+    literal per-n sums bit for bit."""
+
+    @pytest.mark.parametrize("s,u", [(1.5, 0.05), (2.3, 0.7), (3.0, 10.0),
+                                     (-1.0, 1.5), (0.5, 2.0)])
+    def test_inner_differences(self, s, u):
+        got = _inner_differences(s, u, ALTERNATING_MAX_N, ALT)
+        want = [literal_inner_diff(n, s, u)
+                for n in range(ALTERNATING_MAX_N + 1)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("u", [0.05, 1.0, 7.3])
+    def test_log_tn(self, u):
+        got = [log_tn(n, u, ALT) for n in range(1, ALTERNATING_MAX_N + 1)]
+        want = [literal_log_tn(n, u) for n in range(1, ALTERNATING_MAX_N + 1)]
+        assert got == want
 
 
 class TestSAlphaTruncated:
