@@ -20,14 +20,16 @@ are provided and cross-checked:
         log t_n(u) = int_0^inf (1-e^-t)^n e^(-ut) dt/t          (n >= 1)
         D_n(s, u)  = (1/Gamma(s-1)) int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt
 
-    on a double-exponential grid t = exp(tau - exp(-tau)).  The D_n form
-    holds for s > 1 and extends by analytic continuation to s > 1-n; for
-    positive integer powers m = 1-s the sums terminate (D_n = 0 for n > m)
-    and the quadrature is skipped in favour of that exact zero.
+    on a double-exponential grid t = exp(tau - exp(-tau)).  A whole range
+    of n is one matrix product of two np.power tables of 1-e^-t.  The D_n
+    form holds for s > 1 and extends by analytic continuation to s > 1-n;
+    for positive integer powers m = 1-s the sums terminate (D_n = 0 for
+    n > m) and the quadrature is skipped in favour of that exact zero.
 
 Truncated sums report an err_est from an empirical decay model fitted to
 the computed terms (|log t_n| ~ C n^-u up to slowly varying factors); the
-model is a runtime fit, not a theorem.
+model is a runtime fit, not a theorem.  The refined direct series fits it
+at N and at N/2 over one shared tail grid.
 """
 
 from __future__ import annotations
@@ -180,6 +182,24 @@ def _halfline_nodes(u: float, n_max: int, s: float = 2.0):
     return t, w
 
 
+def _power_sums(base: np.ndarray, c: np.ndarray, n_lo: int,
+                n_hi: int) -> np.ndarray:
+    """sum_j c_j base_j^n for n = n_lo..n_hi as one matrix product.
+
+    With n = n_lo + jK + i and K = isqrt(count), base^n = base^(n_lo+jK) *
+    base^i: two small np.power tables and one (J x nodes) @ (nodes x K)
+    product.  Every power is one pow call, so its rounding does not grow
+    with n as a chained product's would.
+    """
+    count = n_hi - n_lo + 1
+    K = math.isqrt(count)
+    J = -(-count // K)
+    lo = np.power(base, np.arange(K, dtype=float)[:, None])
+    lo *= c
+    hi = np.power(base, (n_lo + K * np.arange(J, dtype=float))[:, None])
+    return (hi @ lo.T).ravel()[:count]
+
+
 def log_tn_sweep(u: float, n_max: int) -> np.ndarray:
     """log t_n(u) for n = 0..n_max in one vectorized quadrature sweep.
 
@@ -192,10 +212,8 @@ def log_tn_sweep(u: float, n_max: int) -> np.ndarray:
     c = w * np.exp(-u * t) / t
     out = np.empty(n_max + 1)
     out[0] = -math.log(u)
-    p = base.copy()
-    for n in range(1, n_max + 1):
-        out[n] = float(np.dot(p, c))
-        p *= base
+    if n_max >= 1:
+        out[1:] = _power_sums(base, c, 1, n_max)
     return out
 
 
@@ -217,14 +235,8 @@ def _inner_diff_quad_sweep(s: float, u: float, n_lo: int, n_hi: int) -> np.ndarr
     norm = 1.0 / math.gamma(s - 1.0)
     t, w = _halfline_nodes(u, n_hi, s)
     base = -np.expm1(-t)
-    logbase = np.log(base)
     cc = w * np.exp(-u * t) * t ** (s - 2.0)
-    out = np.empty(n_hi - n_lo + 1)
-    p = np.exp(n_lo * logbase)
-    for i in range(n_hi - n_lo + 1):
-        out[i] = norm * float(np.dot(p, cc))
-        p *= base
-    return out
+    return norm * _power_sums(base, cc, n_lo, n_hi)
 
 
 def _inner_differences(s: float, u: float, N: int,
@@ -318,13 +330,15 @@ def s_alpha_truncated(p: EvalParams, N: int,
     return Approximation(value, err, N + 1)
 
 
-def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, alpha: float,
-                N: int) -> tuple[float, float]:
+def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, N: int,
+                log_m: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
     """Fitted tail of sum_{n>N} |log t_n|/(n+alpha+1).
 
     Model: |log t_n| * n^u ~ c / (log n + q), fitted linearly on the
     reciprocal over the trailing window, then summed explicitly to 20N with
-    an integral remainder.  Returns (tail, uncertainty).
+    an integral remainder.  The explicit sum reads its grid m = N+1..20N
+    from log_m = log m and weight = 1/(m^u (m+alpha+1)), which the caller
+    builds once and slices for every N it fits.  Returns (tail, uncertainty).
     """
     lo = max(2, N // 4)
     window_ns = ns[lo - 1:]
@@ -340,9 +354,10 @@ def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, alpha: float,
         tail = c * N ** (-u) / u
         return tail, tail * 0.5
     c, q = 1.0 / a, b / a
-    m = np.arange(N + 1, 20 * N + 1, dtype=float)
-    guard = np.maximum(np.log(m) + q, 0.3)
-    explicit = float(np.sum(c / (guard * m ** u * (m + alpha + 1.0))))
+    guard = log_m + q
+    np.maximum(guard, 0.3, out=guard)
+    np.divide(weight, guard, out=guard)
+    explicit = c * float(np.sum(guard))
     M = 20.0 * N
     remainder = c * M ** (-u) / (u * max(math.log(M) + q, 0.3))
     tail = explicit + remainder
@@ -358,7 +373,8 @@ def log_z_direct(p: EvalParams, N: int,
     With tightened=False the raw partial sum is returned with the decay
     model tail as err_est.  With tightened=True the fitted tail is added
     and one Richardson level (exponent u, halved N) is applied on top;
-    raw and refined values are available through the two modes.
+    raw and refined values are available through the two modes.  Both
+    tail fits, at N and at N/2, share one grid m = N//2+1..20N.
     """
     p.require_product_valid()
     if N < 1:
@@ -382,13 +398,21 @@ def log_z_direct(p: EvalParams, N: int,
     if not tightened:
         return Approximation(raw_at(N), err_raw + 4e-15 * N ** 0.5, N)
 
-    ns_all = np.arange(1, N + 1)
-    tail_N, unc_N = _tail_model(np.abs(logt[1:]), ns_all, p.u, p.alpha, N)
-    corrected_N = raw_at(N) + tail_N
     half = N // 2
+    m = np.arange(half + 1, 20 * N + 1, dtype=float)
+    log_m = np.log(m)
+    weight = m ** p.u                   # becomes 1/(m^u (m+alpha+1))
+    m += p.alpha + 1.0
+    weight *= m
+    np.reciprocal(weight, out=weight)
+    ns_all = np.arange(1, N + 1)
+    abs_logt = np.abs(logt[1:])
+    tail_N, unc_N = _tail_model(abs_logt, ns_all, p.u, N,
+                                log_m[N - half:], weight[N - half:])
+    corrected_N = raw_at(N) + tail_N
     if half >= 8:
-        tail_h, _ = _tail_model(np.abs(logt[1:half + 1]), ns_all[:half],
-                                p.u, p.alpha, half)
+        tail_h, _ = _tail_model(abs_logt[:half], ns_all[:half], p.u, half,
+                                log_m[:19 * half], weight[:19 * half])
         corrected_h = raw_at(half) + tail_h
         r = 2.0 ** (-p.u)
         extrapolated = (corrected_N - r * corrected_h) / (1.0 - r)

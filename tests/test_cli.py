@@ -4,16 +4,20 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from zetaprod import cli
-from zetaprod.cli import (CONSTANTS_SCHEMA_V1, EXIT_IO, EXIT_NUMERIC_FAIL,
+from zetaprod.cli import (ALPHA_MAX, CONSTANTS_SCHEMA_V1, EXIT_IO,
+                          EXIT_NUMERIC_FAIL,
                           EXIT_PASS, EXIT_USAGE, REPORT_SCHEMA_V1, ROUTES,
                           build_parser, derive_constants, golden_path, main,
                           read_golden, write_golden)
+from zetaprod.closedform import log_z_closed
 from zetaprod.hurwitz import euler_gamma
+from zetaprod.rstirling import row_by_gf
 from zetaprod.quad import QuadratureNonConvergence, integrate_double
 
 
@@ -324,3 +328,41 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
+
+
+class TestAlphaBound:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--alpha", "1e300", "--u", "1"),
+        ("eval", "--alpha", "1e3", "--u", "1", "--route", "closed"),
+        ("eval", "--d", "1" + "0" * 400, "--u", "1"),
+        ("eval", f"--alpha={-ALPHA_MAX - 0.5}", "--route", "series"),
+        ("eval", "--d", str(ALPHA_MAX + 1), "--route", "closed"),
+        ("crosscheck", "--grid-d", "0..1000000000000"),
+        ("crosscheck", f"--grid-d={-ALPHA_MAX - 1},0"),
+    ])
+    def test_beyond_alpha_max_is_a_domain_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ")
+        assert f"<= {ALPHA_MAX}" in err
+        assert "Traceback" not in err
+
+    def test_alpha_max_itself_is_evaluated(self, capsys):
+        code, out, _ = run(capsys, "eval", "--d", str(ALPHA_MAX), "--u", "1",
+                           "--route", "closed", "--format", "json")
+        assert code == EXIT_PASS
+        assert json.loads(out)["results"][0]["terms"] == ALPHA_MAX + 1
+
+    def test_closed_form_still_accurate_at_alpha_max(self):
+        # u = 10 is the worst of the documented domain's u grid at d = 50
+        mpmath = pytest.importorskip("mpmath")
+        d, u = ALPHA_MAX, 10.0
+        with mpmath.workdps(40):
+            U = mpmath.mpf(u)
+            total = mpmath.mpf(0)
+            for k, c in enumerate(row_by_gf(d, 1 - Fraction(u)).coeffs):
+                t_k = (-mpmath.digamma(U) if k == 0 else
+                       mpmath.zeta(1 - k, U) - k * mpmath.zeta(1 - k, U, 1))
+                total += mpmath.mpf(c.numerator) / c.denominator * t_k
+            ref = float(mpmath.log(U) / (d + 1) + total / math.factorial(d))
+        assert abs(log_z_closed(d, u).value - ref) <= 1e-7 * abs(ref)

@@ -13,7 +13,8 @@ from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              functional_eq_residual, inner_diff_exact,
                              resummed_power_partial, log_tn, log_z_direct,
                              s_alpha_truncated)
-from zetaprod.series import _inner_differences, log_tn_sweep
+from zetaprod.series import (_halfline_nodes, _inner_diff_quad_sweep,
+                             _inner_differences, log_tn_sweep)
 
 ALT = DifferenceMethod.ALTERNATING
 FRU = DifferenceMethod.FRULLANI
@@ -138,6 +139,96 @@ class TestSharedAlternatingSums:
         got = [log_tn(n, u, ALT) for n in range(1, ALTERNATING_MAX_N + 1)]
         want = [literal_log_tn(n, u) for n in range(1, ALTERNATING_MAX_N + 1)]
         assert got == want
+
+
+def _node_sum_reference(base, c, ns):
+    """sum_j c_j base_j^n at 40 digits, from the same float nodes."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        b = [mpmath.mpf(float(x)) for x in base]
+        cc = [mpmath.mpf(float(x)) for x in c]
+        return [mpmath.fsum(cj * bj ** n for bj, cj in zip(b, cc))
+                for n in ns]
+
+
+def _log_tn_nodes(u, n_max):
+    t, w = _halfline_nodes(u, n_max)
+    return -np.expm1(-t), w * np.exp(-u * t) / t
+
+
+def _inner_diff_nodes(s, u, n_hi):
+    t, w = _halfline_nodes(u, n_hi, s)
+    return -np.expm1(-t), w * np.exp(-u * t) * t ** (s - 2.0)
+
+
+def loop_log_tn_sweep(u, n_max):
+    """The per-n loop the matrix-product sweep replaced."""
+    base, c = _log_tn_nodes(u, n_max)
+    out = np.empty(n_max + 1)
+    out[0] = -math.log(u)
+    p = base.copy()
+    for n in range(1, n_max + 1):
+        out[n] = float(np.dot(p, c))
+        p *= base
+    return out
+
+
+def loop_inner_diff_quad_sweep(s, u, n_lo, n_hi):
+    """The per-n loop the matrix-product sweep replaced."""
+    norm = 1.0 / math.gamma(s - 1.0)
+    base, cc = _inner_diff_nodes(s, u, n_hi)
+    out = np.empty(n_hi - n_lo + 1)
+    p = np.exp(n_lo * np.log(base))
+    for i in range(n_hi - n_lo + 1):
+        out[i] = norm * float(np.dot(p, cc))
+        p *= base
+    return out
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+class TestPowerSumKernel:
+    """One matrix product of np.power tables forms sum_j c_j base_j^n for a
+    whole range of n; n = n_lo + jK + i with K = isqrt(count), so the
+    entries around n - n_lo = K are where the two tables hand over."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 41, 100, 101, 10000, 10001])
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_log_tn_sweep_against_40_digits(self, u, n_max):
+        K = math.isqrt(n_max)
+        ns = sorted({n for n in (K - 1, K, K + 1, n_max) if 1 <= n <= n_max})
+        want = _node_sum_reference(*_log_tn_nodes(u, n_max), ns)
+        got = log_tn_sweep(u, n_max)
+        for n, w in zip(ns, want):
+            assert abs(got[n] - w) <= 2e-15 * abs(w), (n, got[n], w)
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.3, 3.0])
+    def test_inner_diff_sweep_against_40_digits(self, s):
+        u, n_lo, n_hi = 0.7, 41, 500
+        K = math.isqrt(n_hi - n_lo + 1)
+        offsets = (0, K - 1, K, K + 1, n_hi - n_lo)
+        want = _node_sum_reference(*_inner_diff_nodes(s, u, n_hi),
+                                   [n_lo + i for i in offsets])
+        norm = 1.0 / math.gamma(s - 1.0)
+        got = _inner_diff_quad_sweep(s, u, n_lo, n_hi)
+        for i, w in zip(offsets, want):
+            assert abs(got[i] - norm * w) <= 2e-15 * abs(norm * w), (i, s)
+
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_log_tn_sweep_matches_the_loop(self, u):
+        got = log_tn_sweep(u, 10000)
+        want = loop_log_tn_sweep(u, 10000)
+        assert got[0] == want[0]
+        assert _max_rel(got[1:], want[1:]) <= 1e-14
+
+    @pytest.mark.parametrize("s,u", [(0.5, 0.05), (1.5, 0.7), (2.3, 2.0),
+                                     (3.0, 10.0)])
+    def test_inner_diff_sweep_matches_the_loop(self, s, u):
+        got = _inner_diff_quad_sweep(s, u, 41, 500)
+        want = loop_inner_diff_quad_sweep(s, u, 41, 500)
+        assert _max_rel(got, want) <= 1e-14
 
 
 class TestSAlphaTruncated:
