@@ -32,7 +32,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, NamedTuple
 
-from .closedform import log_z_closed
+from .closedform import D_MAX, log_z_closed
 from .hurwitz import (agm, euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv,
                       log_bendersky)
 from .quad import (QuadConfig, QuadratureNonConvergence, integrate_double,
@@ -64,12 +64,8 @@ EXIT_IO = 3
 
 SCHEMA_VERSION = 1
 
-# Largest |alpha| (and |d| of a crosscheck grid) the CLI accepts.  Against
-# 40-digit mpmath over u in [0.05, 10] the closed form's relative error is
-# <= 5.8e-8 for every d = 0..50, then 2.3e-6 at 60 and 1e-2 at 100; at
-# d = 171 its float row overflows, and a huge integer alpha would build a
-# row of that degree before any route could decline.
-ALPHA_MAX = 50
+# Largest |alpha| (and |d| of a crosscheck grid) the CLI accepts.
+ALPHA_MAX = D_MAX
 
 
 class Route(NamedTuple):

@@ -39,11 +39,20 @@ __all__ = [
     "log_z_explicit_u1",
     "special_value",
     "SPECIAL_VALUE_TAGS",
+    "D_MAX",
 ]
 
 # Primitive-accuracy floor charged per term when propagating error estimates
 # (digamma / log-gamma / exact-Bernoulli pieces carry no EM err_est).
 _PRIM_ERR = 5e-15
+
+# Largest d log_z_closed accepts (and the CLI's bound on |alpha| and on the
+# |d| of a crosscheck grid).  Against 40-digit mpmath over u in [0.05, 10]
+# the closed form's relative error is <= 5.8e-8 for every d = 0..50, then
+# 2.3e-6 at 60 and 1e-2 at 100; at d = 171 its float row overflows, and a
+# huge integer alpha would build a row of that degree before any route
+# could decline.
+D_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,8 @@ def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
     """log z_d(u) by the closed form (regularized k = 0 term)."""
     if d < 0:
         raise ValueError("log_z_closed: d must be >= 0")
+    if d > D_MAX:
+        raise ValueError(f"log_z_closed: d = {d} is beyond D_MAX = {D_MAX}")
     if not u > 0:
         raise ValueError("log_z_closed: u must be > 0")
     row = _float_row(d, u)

@@ -77,13 +77,24 @@ def binomial(n: int, k: int) -> int:
 
 
 def _extend_bernoulli(k: int) -> None:
-    # Recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1.
-    while len(_bernoulli) <= k:
-        m = len(_bernoulli)
-        s = Fraction(0)
-        for j in range(m):
-            s += binomial(m + 1, j) * _bernoulli[j]
-        _bernoulli.append(-s / (m + 1))
+    # Integer tangent numbers T_1..T_J (Brent & Harvey, arXiv:1108.0286),
+    # then B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).
+    J = k // 2
+    T = [0, 1] + [0] * (J - 1)
+    for j in range(2, J + 1):
+        T[j] = (j - 1) * T[j - 1]
+    for i in range(2, J + 1):
+        for j in range(i, J + 1):
+            T[j] = (j - i) * T[j - 1] + (j - i + 2) * T[j]
+    for m in range(len(_bernoulli), k + 1):
+        if m == 1:
+            _bernoulli.append(Fraction(-1, 2))
+        elif m % 2:
+            _bernoulli.append(Fraction(0))
+        else:
+            j = m // 2
+            sign = 1 if j % 2 else -1
+            _bernoulli.append(Fraction(sign * 2 * j * T[j], 4 ** j * (4 ** j - 1)))
 
 
 def bernoulli_number(k: int) -> Fraction:
@@ -91,7 +102,8 @@ def bernoulli_number(k: int) -> Fraction:
     if k < 0:
         raise ValueError("bernoulli_number: k must be >= 0")
     with _lock:
-        _extend_bernoulli(max(k, _DEFAULT_CAP) if k >= len(_bernoulli) else k)
+        if k >= len(_bernoulli):
+            _extend_bernoulli(max(k, _DEFAULT_CAP))
         return _bernoulli[k]
 
 

@@ -29,7 +29,8 @@ are provided and cross-checked:
 Truncated sums report an err_est from an empirical decay model fitted to
 the computed terms (|log t_n| ~ C n^-u up to slowly varying factors); the
 model is a runtime fit, not a theorem.  The refined direct series fits it
-at N and at N/2 over one shared tail grid.
+at N and at N/2 and sums each fitted tail as an explicit head plus
+Euler-Maclaurin; no grid of tail terms is built.
 """
 
 from __future__ import annotations
@@ -330,15 +331,90 @@ def s_alpha_truncated(p: EvalParams, N: int,
     return Approximation(value, err, N + 1)
 
 
+# 32-point Gauss-Legendre rule on [-1, 1] for the integral in _em_sum: the
+# positive nodes and their weights, correctly rounded from a 40-digit Newton
+# iteration on the Legendre recurrence (tests re-derive them).  24 points
+# lose up to 2e-11 of the sum when the pole of 1/(log m + q) sits at the
+# head's end; 32 keep it within 1.2e-13.
+_GL_HALF = np.array([
+    (0.9972638618494816, 0.007018610009470096),
+    (0.9856115115452684, 0.01627439473090567),
+    (0.9647622555875064, 0.02539206530926206),
+    (0.9349060759377397, 0.03427386291302143),
+    (0.8963211557660521, 0.04283589802222668),
+    (0.84936761373257, 0.050998059262376175),
+    (0.7944837959679424, 0.058684093478535544),
+    (0.7321821187402897, 0.06582222277636185),
+    (0.6630442669302152, 0.0723457941088485),
+    (0.5877157572407623, 0.07819389578707031),
+    (0.5068999089322294, 0.08331192422694675),
+    (0.42135127613063533, 0.08765209300440381),
+    (0.33186860228212767, 0.09117387869576389),
+    (0.23928736225213706, 0.09384439908080457),
+    (0.1444719615827965, 0.09563872007927486),
+    (0.04830766568773832, 0.0965400885147278),
+])
+_GL_X = np.concatenate([_GL_HALF[:, 0], -_GL_HALF[:, 0]])
+_GL_W = np.concatenate([_GL_HALF[:, 1], _GL_HALF[:, 1]])
+_HEAD_TERMS = 1024
+_FLOOR = 0.3
+
+
+def _model(c: float, q: float, u: float, a1: float, m):
+    """The tail model c / (max(log m + q, 0.3) m^u (m + a1))."""
+    return c / (np.maximum(np.log(m) + q, _FLOOR) * m ** u * (m + a1))
+
+
+def _em_sum(c: float, q: float, u: float, a1: float, lo: int, hi: int) -> float:
+    """sum_{m=lo}^{hi} of _model by Euler-Maclaurin, through the B_2 term.
+
+    The model must be smooth on [lo, hi]: the floor binds everywhere there
+    or nowhere, and the midpoint tells which (an endpoint may sit on the
+    kink).  The integral runs in x = log m, where it is smooth.
+    """
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    h = 0.5 * (x_hi - x_lo)
+    m = np.exp(x_lo + h * (1.0 + _GL_X))
+    total = h * float(np.dot(_GL_W, _model(c, q, u, a1, m) * m))
+    unfloored = math.log(0.5 * (lo + hi)) + q >= _FLOOR
+    for end, sign in ((lo, -1.0), (hi, 1.0)):
+        f = float(_model(c, q, u, a1, end))
+        dlog_g = 1.0 / max(math.log(end) + q, _FLOOR) if unfloored else 0.0
+        df = -f * ((dlog_g + u) / end + 1.0 / (end + a1))
+        total += 0.5 * f + sign * df / 12.0
+    return total
+
+
+def _model_sum(c: float, q: float, u: float, a1: float, A: int, B: int) -> float:
+    """sum_{m=A}^{B} c / (max(log m + q, 0.3) m^u (m + a1)).
+
+    The first 1024 terms are added explicitly and the rest by
+    Euler-Maclaurin, split where the 0.3 floor stops binding so that each
+    side is smooth.
+    """
+    head = np.arange(A, min(B, A + _HEAD_TERMS - 1) + 1, dtype=float)
+    total = float(np.sum(_model(c, q, u, a1, head)))
+    lo = A + _HEAD_TERMS
+    if lo > B:
+        return total
+    split = lo                      # first m with log m + q >= 0.3
+    if math.log(lo) + q < _FLOOR:
+        split = (B + 1 if math.log(B) + q < _FLOOR
+                 else math.ceil(math.exp(_FLOOR - q)))
+    for a, b in ((lo, split - 1), (split, B)):
+        if a <= b:
+            total += _em_sum(c, q, u, a1, a, b)
+    return total
+
+
 def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, N: int,
-                log_m: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
-    """Fitted tail of sum_{n>N} |log t_n|/(n+alpha+1).
+                a1: float) -> tuple[float, float]:
+    """Fitted tail of sum_{n>N} |log t_n|/(n+alpha+1), with a1 = alpha+1.
 
     Model: |log t_n| * n^u ~ c / (log n + q), fitted linearly on the
-    reciprocal over the trailing window, then summed explicitly to 20N with
-    an integral remainder.  The explicit sum reads its grid m = N+1..20N
-    from log_m = log m and weight = 1/(m^u (m+alpha+1)), which the caller
-    builds once and slices for every N it fits.  Returns (tail, uncertainty).
+    reciprocal over the trailing window.  The model is summed over
+    m = N+1..20N by _model_sum (an explicit head plus Euler-Maclaurin),
+    and past 20N by an integral remainder.  Returns (tail, uncertainty).
     """
     lo = max(2, N // 4)
     window_ns = ns[lo - 1:]
@@ -354,13 +430,9 @@ def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, N: int,
         tail = c * N ** (-u) / u
         return tail, tail * 0.5
     c, q = 1.0 / a, b / a
-    guard = log_m + q
-    np.maximum(guard, 0.3, out=guard)
-    np.divide(weight, guard, out=guard)
-    explicit = c * float(np.sum(guard))
     M = 20.0 * N
-    remainder = c * M ** (-u) / (u * max(math.log(M) + q, 0.3))
-    tail = explicit + remainder
+    remainder = c * M ** (-u) / (u * max(math.log(M) + q, _FLOOR))
+    tail = _model_sum(c, q, u, a1, N + 1, 20 * N) + remainder
     # model error is O(1/log N) relative: charge a conservative slice of it
     return tail, tail * 2.5 / math.log(N)
 
@@ -373,8 +445,9 @@ def log_z_direct(p: EvalParams, N: int,
     With tightened=False the raw partial sum is returned with the decay
     model tail as err_est.  With tightened=True the fitted tail is added
     and one Richardson level (exponent u, halved N) is applied on top;
-    raw and refined values are available through the two modes.  Both
-    tail fits, at N and at N/2, share one grid m = N//2+1..20N.
+    raw and refined values are available through the two modes.  Each
+    fitted tail, at N and at N/2, is summed as 1024 explicit terms plus
+    Euler-Maclaurin (see _model_sum).
     """
     p.require_product_valid()
     if N < 1:
@@ -399,20 +472,13 @@ def log_z_direct(p: EvalParams, N: int,
         return Approximation(raw_at(N), err_raw + 4e-15 * N ** 0.5, N)
 
     half = N // 2
-    m = np.arange(half + 1, 20 * N + 1, dtype=float)
-    log_m = np.log(m)
-    weight = m ** p.u                   # becomes 1/(m^u (m+alpha+1))
-    m += p.alpha + 1.0
-    weight *= m
-    np.reciprocal(weight, out=weight)
+    a1 = p.alpha + 1.0
     ns_all = np.arange(1, N + 1)
     abs_logt = np.abs(logt[1:])
-    tail_N, unc_N = _tail_model(abs_logt, ns_all, p.u, N,
-                                log_m[N - half:], weight[N - half:])
+    tail_N, unc_N = _tail_model(abs_logt, ns_all, p.u, N, a1)
     corrected_N = raw_at(N) + tail_N
     if half >= 8:
-        tail_h, _ = _tail_model(abs_logt[:half], ns_all[:half], p.u, half,
-                                log_m[:19 * half], weight[:19 * half])
+        tail_h, _ = _tail_model(abs_logt[:half], ns_all[:half], p.u, half, a1)
         corrected_h = raw_at(half) + tail_h
         r = 2.0 ** (-p.u)
         extrapolated = (corrected_N - r * corrected_h) / (1.0 - r)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zetaprod.closedform import (log_z_closed, log_z_explicit_u1, s_d_closed,
-                                 special_value)
+from zetaprod.closedform import (D_MAX, log_z_closed, log_z_explicit_u1,
+                                 s_d_closed, special_value)
 from zetaprod.hurwitz import (digamma, euler_gamma, hurwitz_zeta, log_bendersky,
                               log_gamma)
 from zetaprod.series import EvalParams, inner_diff_exact, log_z_direct
@@ -69,6 +69,15 @@ class TestLogZClosed:
             log_z_closed(-1, 1.0)
         with pytest.raises(ValueError):
             log_z_closed(1, 0.0)
+
+    @pytest.mark.parametrize("d", [D_MAX + 1, 170, 171, 1000])
+    def test_beyond_d_max_names_the_bound(self, d):
+        with pytest.raises(ValueError, match=f"D_MAX = {D_MAX}"):
+            log_z_closed(d, 1.0)
+
+    def test_d_max_itself_is_evaluated(self):
+        a = log_z_closed(D_MAX, 1.0)
+        assert math.isfinite(a.value) and a.terms_used == D_MAX + 1
 
 
 class TestExplicitU1:

@@ -47,6 +47,14 @@ class TestBernoulli:
     def test_known_tail(self):
         assert bernoulli_number(12) == Fraction(-691, 2730)
 
+    def test_matches_the_rational_recurrence(self):
+        # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, in Fractions
+        want = [Fraction(1)]
+        for m in range(1, 131):
+            s = sum(math.comb(m + 1, j) * want[j] for j in range(m))
+            want.append(-s / (m + 1))
+        assert [bernoulli_number(k) for k in range(131)] == want
+
 
 class TestBernoulliPoly:
     def test_constant(self):

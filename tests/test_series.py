@@ -13,8 +13,10 @@ from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              functional_eq_residual, inner_diff_exact,
                              resummed_power_partial, log_tn, log_z_direct,
                              s_alpha_truncated)
-from zetaprod.series import (_halfline_nodes, _inner_diff_quad_sweep,
-                             _inner_differences, log_tn_sweep)
+from zetaprod import series
+from zetaprod.series import (_GL_W, _GL_X, _halfline_nodes,
+                             _inner_diff_quad_sweep, _inner_differences,
+                             _model_sum, log_tn_sweep)
 
 ALT = DifferenceMethod.ALTERNATING
 FRU = DifferenceMethod.FRULLANI
@@ -314,6 +316,78 @@ class TestLogZDirect:
         a = log_z_direct(EvalParams(0.0, 1.0), 40, ALT)
         b = log_z_direct(EvalParams(0.0, 1.0), 40, FRU)
         assert abs(a.value - b.value) < 1e-12
+
+
+def grid_model_sum(c, q, u, a1, A, B):
+    """The fitted tail model summed term by term, as the grid code did."""
+    m = np.arange(A, B + 1, dtype=float)
+    weight = 1.0 / (m ** u * (m + a1))
+    return c * float(np.sum(weight / np.maximum(np.log(m) + q, 0.3)))
+
+
+def _mp_model_sum(c, q, u, a1, A, B):
+    """The same model summed by mpmath's Euler-Maclaurin at 30 digits, on
+    each side of the kink of the 0.3 floor, scaled by A^u to order 1."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c, q, u, a1 = map(mpmath.mpf, (c, q, u, a1))
+        floor = mpmath.mpf("0.3")
+
+        def f(m):
+            return (A / m) ** u / (max(mpmath.log(m) + q, floor) * (m + a1))
+
+        kink = int(mpmath.ceil(mpmath.exp(floor - q)))
+        sides = [(A, min(B, kink - 1)), (max(A, kink), B)]
+        total = mpmath.fsum(mpmath.sumem(f, [a, b]) for a, b in sides if a <= b)
+        return c * total / mpmath.power(A, u)
+
+
+class TestTailModelSum:
+    """The fitted tail c / (max(log m + q, 0.3) m^u (m + a1)) over
+    m = A..B: 1024 explicit terms, then Euler-Maclaurin on each side of
+    the floor's kink."""
+
+    def test_gauss_legendre_rule_rederived(self):
+        mpmath = pytest.importorskip("mpmath")
+        n = len(_GL_X)
+        with mpmath.workdps(40):
+            for x0, w0 in zip(_GL_X, _GL_W):
+                x = mpmath.mpf(float(x0))
+                for _ in range(3):
+                    p_prev, p = mpmath.mpf(1), x
+                    for k in range(2, n + 1):
+                        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+                    dp = n * (x * p - p_prev) / (x * x - 1)
+                    x -= p / dp
+                assert float(x) == x0
+                assert float(2 / ((1 - x * x) * dp * dp)) == w0
+
+    @pytest.mark.parametrize("c,q,u,a1,A,B", [
+        (1.0, -9.5, 0.05, 1.0, 10**4 + 1, 2 * 10**5),   # kink inside
+        (1.0, -9.5, 0.5, 1.0, 10**4 + 1, 2 * 10**5),
+        (2.0, 0.5, 0.5, 3.0, 1025, 2000),                # head only
+        (0.7, 1.0, 0.05, 11.0, 55, 1080),                # head + 2 terms
+        (1.0, 3.0, 10.0, 1.5, 10**4 + 1, 2 * 10**5),     # large u
+        (1.0, -6.0, 10.0, -0.5, 1001, 2 * 10**4),        # large u, a1 < 0
+        # the kink at m = 1079, where the head ends
+        (1.0, 0.3 - math.log(1079), 0.05, 0.5, 55, 1080),
+    ])
+    def test_against_30_digits(self, c, q, u, a1, A, B):
+        want = _mp_model_sum(c, q, u, a1, A, B)
+        got = _model_sum(c, q, u, a1, A, B)
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("alpha,u,N", [
+        (0.5, 0.05, 10000), (2.0, 1.0, 2000), (-1.5, 0.25, 100),
+        (8.0, 10.0, 10000), (0.0, 0.5, 60), (10.0, 2.0, 2000)])
+    def test_log_z_direct_matches_the_grid_sum(self, monkeypatch, alpha, u, N):
+        p = EvalParams(alpha, u)
+        got = log_z_direct(p, N, tightened=True)
+        monkeypatch.setattr(series, "_model_sum", grid_model_sum)
+        want = log_z_direct(p, N, tightened=True)
+        assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
+        assert abs(got.err_est - want.err_est) <= 1e-12 * want.err_est
+        assert got.terms_used == want.terms_used
 
 
 class TestResummedPowerSum:
