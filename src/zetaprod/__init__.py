@@ -22,8 +22,8 @@ from .hurwitz import (EMConfig, ZetaValue, agm, digamma, euler_gamma,
 from .series import (Approximation, DifferenceMethod, EvalParams,
                      functional_eq_residual, resummed_power_partial, log_tn,
                      log_z_direct, s_alpha_truncated)
-from .closedform import (RegularizedTerm, log_z_closed, log_z_explicit_u1,
-                         s_d_closed, special_value)
+from .closedform import (log_z_closed, log_z_explicit_u1, s_d_closed,
+                         special_value)
 from .quad import (QuadConfig, QuadratureNonConvergence, integrate_double,
                    integrate_elementary_half, integrate_prelim,
                    integrate_single_d)

@@ -341,7 +341,12 @@ def _run_eval(alpha: float, u: float, route: str, tol: float,
             report.skipped.append((r.name, why))
             continue
         t0 = time.perf_counter()
-        approx = r.evaluate(alpha, u, max_terms, qcfg)
+        try:
+            approx = r.evaluate(alpha, u, max_terms, qcfg)
+        except QuadratureNonConvergence as exc:
+            # a crosscheck runs many routes and cells: say which one failed
+            exc.args = (f"{r.name} at alpha={alpha}, u={u}: {exc}",)
+            raise
         ms = 1000.0 * (time.perf_counter() - t0)
         report.results.append(RouteResult(r.name, approx.value, approx.err_est,
                                           approx.terms_used, ms))

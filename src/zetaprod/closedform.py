@@ -20,7 +20,6 @@ special values used by the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (bernoulli_number, bernoulli_poly, harmonic,
@@ -32,7 +31,6 @@ from .rstirling import row_by_gf
 from .series import Approximation
 
 __all__ = [
-    "RegularizedTerm",
     "regularized_term",
     "s_d_closed",
     "log_z_closed",
@@ -46,37 +44,30 @@ __all__ = [
 # (digamma / log-gamma / exact-Bernoulli pieces carry no EM err_est).
 _PRIM_ERR = 5e-15
 
-# Largest d log_z_closed accepts (and the CLI's bound on |alpha| and on the
-# |d| of a crosscheck grid).  Against 40-digit mpmath over u in [0.05, 10]
-# the closed form's relative error is <= 5.8e-8 for every d = 0..50, then
-# 2.3e-6 at 60 and 1e-2 at 100; at d = 171 its float row overflows, and a
-# huge integer alpha would build a row of that degree before any route
-# could decline.
+# Largest d log_z_closed and s_d_closed accept (and the CLI's bound on
+# |alpha| and on the |d| of a crosscheck grid).  Against 40-digit mpmath
+# over u in [0.05, 10] the closed form's relative error is <= 5.8e-8 for
+# every d = 0..50, then 2.3e-6 at 60 and 1e-2 at 100 (s_d_closed at d = 50:
+# <= 1.3e-11); at d = 171 its float row overflows, and a huge integer
+# alpha would build a row of that degree before any route could decline.
 D_MAX = 50
 
 
-@dataclass(frozen=True)
-class RegularizedTerm:
-    """T_k(u): the k-th regularized summand of the product formula.
+def regularized_term(k: int, u: float, cfg: EMConfig = DEFAULT_EM
+                     ) -> tuple[float, float]:
+    """(T_k(u), error estimate): the k-th regularized summand of the
+    product formula.
 
     T_0(u) = -psi(u); for k >= 1,
     T_k(u) = zeta(1-k,u) - k zeta'(1-k,u) with zeta(1-k,u) = -B_k(u)/k.
     """
-
-    k: int
-    value: float
-
-
-def regularized_term(k: int, u: float, cfg: EMConfig = DEFAULT_EM
-                     ) -> tuple[RegularizedTerm, float]:
-    """(T_k(u), error estimate)."""
     if k < 0:
         raise ValueError("regularized_term: k must be >= 0")
     if k == 0:
-        return RegularizedTerm(0, -digamma(u)), _PRIM_ERR * (1 + abs(digamma(u)))
+        return -digamma(u), _PRIM_ERR * (1 + abs(digamma(u)))
     zeta_val = -float(bernoulli_poly(k)(Fraction(u))) / k
     zd = hurwitz_zeta_deriv(1.0 - k, u, cfg)
-    return RegularizedTerm(k, zeta_val - k * zd.deriv), k * zd.err_est + _PRIM_ERR
+    return zeta_val - k * zd.deriv, k * zd.err_est + _PRIM_ERR
 
 
 def _float_row(d: int, u: float) -> list[float]:
@@ -92,6 +83,8 @@ def s_d_closed(d: int, s: float, u: float,
     """
     if d < 0:
         raise ValueError("s_d_closed: d must be >= 0")
+    if d > D_MAX:
+        raise ValueError(f"s_d_closed: d = {d} is beyond D_MAX = {D_MAX}")
     if not u > 0:
         raise ValueError("s_d_closed: u must be > 0")
     if float(s) == int(s) and 1 <= s <= d + 1:
@@ -123,7 +116,7 @@ def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
     err = _PRIM_ERR
     for k in range(d + 1):
         term, term_err = regularized_term(k, u, cfg)
-        total += row[k] * term.value / fact
+        total += row[k] * term / fact
         err += abs(row[k]) * term_err / fact
     return Approximation(total, err, d + 1)
 

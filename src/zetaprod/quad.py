@@ -54,10 +54,14 @@ _EPS = 2.0 ** -52
 
 
 class QuadratureNonConvergence(RuntimeError):
-    """Raised when level_max is exhausted; carries the partial estimate."""
+    """Raised when level_max is exhausted, or at the level where the level
+    sum turns non-finite; carries the partial estimate."""
 
-    def __init__(self, value: float, err_est: float, level: int):
-        super().__init__(f"tanh-sinh did not converge by level {level} "
+    def __init__(self, value: float, err_est: float, level: int,
+                 non_finite: bool = False):
+        what = ("sum became non-finite at level" if non_finite
+                else "did not converge by level")
+        super().__init__(f"tanh-sinh {what} {level} "
                          f"(partial value {value!r}, last change {err_est:.3e})")
         self.value = value
         self.err_est = err_est
@@ -156,15 +160,29 @@ def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     nodes_used).  Raises QuadratureNonConvergence when level_max is
     exhausted, with the partial value of one integrand; a batch reports nan,
     since its rows are pieces of an outer integrand and estimate nothing.
+
+    The pass also stops at the first level whose running sum holds an inf
+    or nan (the deep nodes of a small-u double integral overflow exp):
+    every later sum stays non-finite, so the change can never meet tol and
+    the deeper levels could not alter the outcome.  That raise reports the
+    level reached, with value and err_est nan.
+
+    Each level sum is an einsum, numpy's own loop in the calling thread.
+    As a BLAS product it would start OpenBLAS's worker threads, which keep
+    spinning on the other cores between calls; a deep level's row alone is
+    past the size OpenBLAS keeps in the calling thread.
     """
     S = 0.0
     change = math.inf
     nodes_used = 0
     for level in range(cfg.level_max + 1):
         nodes = _level_nodes(level)
-        S = S + f(nodes) @ nodes.w
+        S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
         nodes_used += len(nodes.x)
         value = nodes.h * S
+        if not np.all(np.isfinite(S)):
+            raise QuadratureNonConvergence(math.nan, math.nan, level,
+                                           non_finite=True)
         if level >= 3:
             change = float(np.max(np.abs(value - prev) * weight))
             if change <= tol:

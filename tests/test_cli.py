@@ -252,6 +252,18 @@ class TestCrosscheckCommand:
         assert code == EXIT_PASS
         assert "18 pass, 0 fail" in out
 
+    @pytest.mark.parametrize("argv,where", [
+        (("eval", "--alpha", "0.5", "--u", "0.1"), "alpha=0.5, u=0.1"),
+        (("crosscheck", "--grid-d", "0..1", "--grid-u", "1,0.05"),
+         "alpha=0.0, u=0.05"),
+    ])
+    def test_numeric_failure_names_route_and_cell(self, capsys, argv, where):
+        # the double integral fails at small u; the message says where
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_NUMERIC_FAIL
+        assert out == ""
+        assert err.startswith(f"numeric failure: integral-double at {where}: ")
+
 
 class TestNoApplicableRoute:
     def test_excluded_integer_alpha_all_routes(self, capsys):

@@ -35,6 +35,16 @@ class TestSDClosed:
         with pytest.raises(ValueError):
             s_d_closed(1, 0.5, -1.0)
 
+    @pytest.mark.parametrize("d", [D_MAX + 1, 171, 200])
+    def test_beyond_d_max_names_the_bound(self, d):
+        # 171 and 200 overflowed the float row before the bound
+        with pytest.raises(ValueError, match=f"D_MAX = {D_MAX}"):
+            s_d_closed(d, 2.5, 1.0)
+
+    def test_d_max_itself_is_evaluated(self):
+        a = s_d_closed(D_MAX, 2.5, 1.0)
+        assert math.isfinite(a.value) and a.terms_used == D_MAX + 1
+
     @pytest.mark.parametrize("u", [Fraction(1, 2), Fraction(1), Fraction(2)])
     @pytest.mark.parametrize("d", range(0, 5))
     @pytest.mark.parametrize("m", range(1, 7))

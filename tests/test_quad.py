@@ -5,9 +5,10 @@ import pytest
 
 from zetaprod.closedform import log_z_closed
 from zetaprod.hurwitz import euler_gamma, log_bendersky
-from zetaprod.quad import (QuadConfig, QuadratureNonConvergence, _refine,
-                           integrate_double, integrate_elementary_half,
-                           integrate_prelim, integrate_single_d, tanh_sinh_01)
+from zetaprod.quad import (QuadConfig, QuadratureNonConvergence,
+                           _level_nodes, _refine, integrate_double,
+                           integrate_elementary_half, integrate_prelim,
+                           integrate_single_d, tanh_sinh_01)
 from zetaprod.series import EvalParams, log_z_direct
 from zetaprod.series import log_tn_sweep
 
@@ -58,6 +59,39 @@ class TestEngine:
             _refine(lambda n: np.cos(freqs * n.x), cfg, cfg.abs_tol)
         assert math.isnan(exc.value.value)
 
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_non_finite_sum_stops_at_its_level(self, k):
+        # one row turns inf at level k; no later level could converge, so
+        # the pass stops there instead of summing out to level_max
+        cfg = QuadConfig(abs_tol=1e-14)
+        freqs = np.array([50.0, 60.0])[:, None]
+        levels = []
+
+        def f(n):
+            levels.append(n.h)
+            rows = np.cos(freqs * n.x)
+            if len(levels) > k:
+                rows[1, 0] = np.inf
+            return rows
+
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            _refine(f, cfg, cfg.abs_tol)
+        assert len(levels) == k + 1
+        assert exc.value.level == k
+        assert math.isnan(exc.value.value) and math.isnan(exc.value.err_est)
+        assert f"non-finite at level {k} (partial value nan" in str(exc.value)
+
+    def test_finite_batch_runs_to_convergence(self):
+        # the same rows without the inf: the early stop never fires, and
+        # they need more than the 5 levels the stop test cuts them at
+        cfg = QuadConfig(abs_tol=1e-14)
+        freqs = np.array([50.0, 60.0])
+        value, change, nodes = _refine(
+            lambda n: np.cos(freqs[:, None] * n.x), cfg, cfg.abs_tol)
+        assert change <= cfg.abs_tol
+        assert np.allclose(value, np.sin(freqs) / freqs, rtol=0, atol=1e-13)
+        assert nodes > sum(len(_level_nodes(level).x) for level in range(6))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadConfig(level_max=0)
@@ -84,8 +118,8 @@ class TestEngine:
         # the batch refines until its slowest row has converged
         assert nodes == max(s[2] for s in singles)
         for k, (value, _, _) in enumerate(singles):
-            # a batch level sum is a matrix-vector product, a single one a
-            # dot product; BLAS may round them apart in the last bit
+            # numpy's einsum sums a batch row and a single integrand in
+            # different loops, which may round them apart in the last bit
             exact = 1.0 / (k + 1)
             assert abs(batch[k] - value) <= 4 * np.spacing(exact)
             assert abs(batch[k] - exact) <= 4 * np.spacing(exact)
