@@ -11,10 +11,13 @@ Central objects:
 The alternating inner sums lose roughly one bit per order n, so two methods
 are provided and cross-checked:
 
-  * alternating_sum: the literal sum, evaluated in high-precision decimal
-    arithmetic so cancellation cannot pollute the result; capped at n <= 40.
-    Each (k+u)^(1-s) or ln(k+u) is computed once per point and serves
-    every n.
+  * alternating_sum: the literal sum over 50-digit decimal values of
+    (k+u)^(1-s) or ln(k+u), each computed once per point for every n;
+    capped at n <= 40.  The sums themselves are exact (integer forward
+    differences on the values' common decimal grid), so cancellation
+    cannot pollute them, and each is rounded once to a float.  A
+    non-integral power comes from a float seed of ln(k+u) and two decimal
+    exps, within 1e-47 relative of the exact power.
   * frullani_quadrature: the integral representations
 
         log t_n(u) = int_0^inf (1-e^-t)^n e^(-ut) dt/t          (n >= 1)
@@ -127,18 +130,54 @@ def _decimal_of(x) -> Decimal:
 
 
 def _alternating_sums(f: list[Decimal]) -> list[float]:
-    """sum_{k=0}^n (-1)^k C(n,k) f[k] for n = 0..len(f)-1.
+    """sum_{k=0}^n (-1)^k C(n,k) f[k] for n = 0..len(f)-1, each correctly
+    rounded from the exact sum of the given f[k].
 
-    Runs in the caller's decimal context; each f[k] serves every n.
+    Every f[k] becomes an exact integer on the finest decimal grid among
+    them, and the sum for n is (-1)^n times the n-th forward difference of
+    those integers; one int true division (correctly rounded) gives the
+    float, or a signed inf past the float range.  Each f[k] may carry at
+    most the caller's context precision in digits, which every result of
+    that context does.
     """
+    P = max(0, max(-x.as_tuple().exponent for x in f))
+    row = [int(x.scaleb(P)) for x in f]
+    scale = 10 ** P
     sums = []
     for n in range(len(f)):
-        total = Decimal(0)
-        for k in range(n + 1):
-            term = Decimal(binomial(n, k)) * f[k]
-            total += -term if k % 2 == 1 else term
-        sums.append(float(total))
+        total = -row[0] if n % 2 else row[0]
+        try:
+            sums.append(total / scale)
+        except OverflowError:
+            sums.append(math.inf if total > 0 else -math.inf)
+        row = [b - a for a, b in zip(row, row[1:])]
     return sums
+
+
+def _seeded_power(x: Decimal, e: Decimal) -> Decimal:
+    """x**e for non-integral e in the caller's context, to within about
+    10^(3-prec) relative (1e-47 at 50 digits) for any e.
+
+    E = log(float(x)) is an exact binary value close to ln x, so
+    x**e = exp(e E) (1 + d)^e with d = x exp(-E) - 1 of order 1e-16; the
+    binomial series in d runs until a term falls below 10^-(prec+2) of the
+    total.  The two factors scale the working precision's relative
+    rounding errors by about 3 + |e| + |e E|; past 100 that factor is
+    offset by guard digits, and the product is rounded once.
+    """
+    E = Decimal(math.log(float(x)))
+    with localcontext() as ctx:
+        ctx.prec += max(0, (abs(e) * (1 + abs(E))).adjusted() - 1)
+        d = x * (-E).exp() - 1
+        tiny = Decimal(1).scaleb(-(ctx.prec + 2))
+        total = term = Decimal(1)
+        j = 0
+        while abs(term) > tiny * abs(total):
+            term *= (e - j) / (j + 1) * d
+            total += term
+            j += 1
+        power = (e * E).exp() * total
+    return +power
 
 
 def _log_tn_alternating(n_max: int, u: float) -> list[float]:
@@ -150,12 +189,20 @@ def _log_tn_alternating(n_max: int, u: float) -> list[float]:
 
 
 def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
-    """D_n(s,u) for n = 0..n_max by the literal sums in high-precision decimal."""
+    """D_n(s,u) for n = 0..n_max by the literal sums over 50-digit powers.
+
+    An integral power e = 1-s is Decimal's own **, a few multiplications;
+    any other is _seeded_power.
+    """
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
         uu = _decimal_of(u)
         e = Decimal(1) - _decimal_of(s)
-        return _alternating_sums([(uu + k) ** e for k in range(n_max + 1)])
+        if e == e.to_integral_value():
+            powers = [(uu + k) ** e for k in range(n_max + 1)]
+        else:
+            powers = [_seeded_power(uu + k, e) for k in range(n_max + 1)]
+        return _alternating_sums(powers)
 
 
 # --------------------------------------------------------------------------
@@ -258,10 +305,12 @@ def _inner_differences(s: float, u: float, N: int,
     """D_n(s,u) for n = 0..N with the chosen cancellation control.
 
     alternating_sum is rejected beyond ALTERNATING_MAX_N.  The quadrature
-    method uses exact small-n sums below the cancellation cap and the
-    normalized integral beyond it; positive-integer powers 1-s terminate
-    exactly (D_n = 0 for n > 1-s), and that exact zero is used directly
-    because the Gamma normalization degenerates there.
+    method uses the exact-sum route (alternating sums of 50-digit powers)
+    below the cancellation cap and the normalized integral beyond it.
+    Positive-integer powers m = 1-s terminate exactly (D_n = 0 for n > m),
+    and for both methods that exact zero is used directly for every such
+    n: the 50-digit sums would leave rounding noise there, and the Gamma
+    normalization degenerates.
     """
     if s == 1.0:
         out = np.zeros(N + 1)
@@ -273,15 +322,14 @@ def _inner_differences(s: float, u: float, N: int,
     out = np.empty(N + 1)
     cap = min(N, ALTERNATING_MAX_N)
     out[:cap + 1] = _inner_diff_alternating(cap, s, u)
-    if N > cap:
-        if float(s) == int(s) and s <= 1.0:
-            # terminating positive-integer power: exact zeros past n = 1-s
-            if 1.0 - s > cap:
-                raise ValueError("terminating powers with 1-s beyond the "
-                                 "exact-sum cap are not supported")
-            out[cap + 1:] = 0.0
-        else:
-            out[cap + 1:] = _inner_diff_quad_sweep(s, u, cap + 1, N)
+    if float(s) == int(s) and s <= 1.0:
+        m = int(1.0 - s)
+        if N > cap and m > cap:
+            raise ValueError("terminating powers with 1-s beyond the "
+                             "exact-sum cap are not supported")
+        out[m + 1:] = 0.0
+    elif N > cap:
+        out[cap + 1:] = _inner_diff_quad_sweep(s, u, cap + 1, N)
     return out
 
 
@@ -311,12 +359,27 @@ def log_tn(n: int, u: float,
     return _log_tn_quadrature(n, u)
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a nonempty 1-d array, nan if it holds a nan.
+
+    np.median's first call imports numpy.ma, which costs a fresh process
+    tens of milliseconds; np.partition does not.
+    """
+    n = a.size
+    part = np.partition(a, [(n - 1) // 2, n // 2, n - 1])
+    if np.isnan(part[-1]):
+        return math.nan
+    if n % 2:
+        return float(part[n // 2])
+    return float(0.5 * (part[n // 2 - 1] + part[n // 2]))
+
+
 def _fit_decay_coefficient(mags: np.ndarray, ns: np.ndarray, u: float) -> float:
     """Median of |term| * n^u over the last decade [N/10, N] (plateau fit)."""
     scaled = mags * ns.astype(float) ** u
     lo = min(max(0, len(ns) // 10 - 1), len(ns) - 1)
     window = scaled[lo:]
-    return float(np.median(window)) if len(window) else 0.0
+    return _median(window) if len(window) else 0.0
 
 
 def s_alpha_truncated(p: EvalParams, N: int,
@@ -439,7 +502,7 @@ def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, N: int,
     y = 1.0 / window[good]
     a, b = np.polyfit(x, y, 1)  # 1/r ~ a*log n + b
     if a <= 0 or not math.isfinite(a) or not math.isfinite(b):
-        c = float(np.median(window))
+        c = _median(window)
         tail = c * N ** (-u) / u
         return tail, tail * 0.5
     c, q = 1.0 / a, b / a

@@ -1,6 +1,11 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +148,108 @@ class TestSharedAlternatingSums:
         assert got == want
 
 
+def fraction_alternating_sums(f):
+    """sum_k (-1)^k C(n,k) f[k] for every n, exactly, then rounded once."""
+    fr = [Fraction(x) for x in f]
+    return [float(sum((-1) ** k * math.comb(n, k) * fr[k]
+                      for k in range(n + 1))) for n in range(len(f))]
+
+
+def _decimal_list(seed, exponents):
+    """41 random 50-digit decimals, each exponent drawn from exponents."""
+    rng = random.Random(seed)
+    return [Decimal(rng.choice((-1, 1)) * rng.randrange(10 ** 49, 10 ** 50))
+            .scaleb(rng.choice(exponents)) for _ in range(41)]
+
+
+def _last_digit_list(seed):
+    """1 plus a random last (50th) digit: every sum past n = 0 lives there."""
+    rng = random.Random(seed)
+    return [Decimal(1) + Decimal(rng.randrange(10)).scaleb(-49)
+            for _ in range(41)]
+
+
+ALTERNATING_LISTS = {
+    "fine": lambda: _decimal_list(1, range(-60, -40)),
+    "mixed": lambda: _decimal_list(2, range(-90, 10)),
+    "zeros-tail": lambda: _decimal_list(3, [-49])[:20] + [Decimal(0)] * 21,
+    "zeros-head": lambda: ([Decimal(0), Decimal("0E-70"), Decimal("-0")]
+                           + _decimal_list(4, [-5])[3:]),
+    "huge": lambda: _decimal_list(5, range(1, 30)),         # P = 0
+    "integers": lambda: [Decimal(10) ** 60] + [Decimal(k) for k in range(1, 41)],
+    "last-digit-6": lambda: _last_digit_list(6),
+    "last-digit-7": lambda: _last_digit_list(7),
+}
+
+
+class TestExactAlternatingSums:
+    """_alternating_sums is the exact sum over its 50-digit inputs,
+    correctly rounded to a float."""
+
+    @pytest.mark.parametrize("name", ALTERNATING_LISTS)
+    def test_equals_the_fraction_sum(self, name):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            f = ALTERNATING_LISTS[name]()
+            got = series._alternating_sums(f)
+        assert got == fraction_alternating_sums(f)
+
+    def test_overflow_is_signed_inf(self):
+        f = [Decimal("1E+400"), Decimal("3E+400"), Decimal(0)]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            assert series._alternating_sums(f) == [math.inf, -math.inf, -math.inf]
+
+
+class TestSeededPowers:
+    """Non-integral powers from a float seed and two exps agree with
+    Decimal's own ** taken at 60 digits."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 2.3, 60.5, 10000.5])
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_within_1e_47_of_60_digits(self, s, u):
+        for k in range(ALTERNATING_MAX_N + 1):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                x, e = _dec50(u) + k, Decimal(1) - _dec50(s)
+                got = series._seeded_power(x, e)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                want = x ** e
+                assert abs((got - want) / want) <= Decimal("1e-47"), (s, u, k)
+
+
+class TestMedian:
+    """series._median is np.median without its numpy.ma import."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9000, 9001])
+    def test_equals_np_median(self, n):
+        rng = np.random.default_rng(n)
+        for a in (rng.standard_normal(n), rng.integers(0, 3, n) * 1.0,
+                  np.exp(50 * rng.standard_normal(n))):
+            assert series._median(a) == float(np.median(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_nan_window(self, n):
+        a = np.arange(n, dtype=float)
+        a[n // 2] = np.nan
+        assert math.isnan(series._median(a)) and math.isnan(np.median(a))
+
+    def test_log_z_direct_leaves_numpy_ma_unimported(self):
+        code = ("import sys\n"
+                "from zetaprod.series import EvalParams, log_z_direct\n"
+                "log_z_direct(EvalParams(0.5, 0.7), 10000, tightened=True)\n"
+                "log_z_direct(EvalParams(0.5, 0.7), 100)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 def _node_sum_reference(base, c, ns):
     """sum_j c_j base_j^n at 40 digits, from the same float nodes."""
     mpmath = pytest.importorskip("mpmath")
@@ -279,6 +386,13 @@ class TestInnerSumAnnihilation:
 
     def test_nonzero_at_power(self):
         assert inner_diff_exact(2, 2, Fraction(1)) == 2  # 1 - 2*4 + 9
+
+    def test_terminating_entries_are_exact_zeros(self):
+        # 1-s = 4: D_n(-3, u) = 0 for n >= 5, for both methods
+        for method in (ALT, FRU):
+            got = _inner_differences(-3.0, 0.065, ALTERNATING_MAX_N, method)
+            assert got[5:].tolist() == [0.0] * (ALTERNATING_MAX_N - 4)
+            assert got[4] != 0.0
 
 
 class TestLogZDirect:
