@@ -13,7 +13,8 @@ has (the CLI's route table) and prints them side by side.
 
 import math
 
-from zetaprod import QuadConfig, euler_gamma, hurwitz_zeta, log_bendersky
+from zetaprod.hurwitz import euler_gamma, hurwitz_zeta, log_bendersky
+from zetaprod.quad import QuadConfig
 from zetaprod.cli import ROUTES
 
 LOG_2PI = math.log(2.0 * math.pi)

@@ -11,7 +11,8 @@ Three showpieces for z_1(u) away from u = 1:
 
 import math
 
-from zetaprod import agm, euler_gamma, log_z_closed, special_value
+from zetaprod.closedform import log_z_closed, special_value
+from zetaprod.hurwitz import agm, euler_gamma
 
 g = euler_gamma()
 

@@ -10,8 +10,8 @@ binomial differences telescopes into Bernoulli polynomials.
 
 from fractions import Fraction
 
-from zetaprod import entry_by_unsigned_identity, row_by_gf, row_by_recurrence
-from zetaprod.rstirling import shift_from_u
+from zetaprod.rstirling import (entry_by_unsigned_identity, row_by_gf,
+                                row_by_recurrence, shift_from_u)
 from zetaprod.series import finite_bernoulli_identity_sides
 
 u = Fraction(1, 3)

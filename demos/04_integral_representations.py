@@ -11,8 +11,9 @@ indices where no closed form is known.
 
 import numpy as np
 
-from zetaprod import (EvalParams, QuadConfig, integrate_double,
-                      integrate_prelim, integrate_single_d, log_z_direct)
+from zetaprod.quad import (QuadConfig, integrate_double, integrate_prelim,
+                           integrate_single_d)
+from zetaprod.series import EvalParams, log_z_direct
 
 print("integer index: all three integrals vs the direct series, u = 1/2")
 print(f"{'d':>3} {'single':>20} {'double':>20} {'prelim':>20} {'series':>20}")

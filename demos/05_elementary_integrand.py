@@ -13,7 +13,7 @@ against the truncated-product oracle rather than assumed.
 
 import numpy as np
 
-from zetaprod import integrate_elementary_half, integrate_prelim
+from zetaprod.quad import integrate_elementary_half, integrate_prelim
 from zetaprod.series import log_tn_sweep
 
 e = integrate_elementary_half()

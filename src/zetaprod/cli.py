@@ -53,6 +53,7 @@ __all__ = [
     "ROUTES",
     "ROUTE_CHOICES",
     "ALPHA_MAX",
+    "MAX_TERMS",
     "derive_constants",
     "golden_path",
 ]
@@ -66,6 +67,11 @@ SCHEMA_VERSION = 1
 
 # Largest |alpha| (and |d| of a crosscheck grid) the CLI accepts.
 ALPHA_MAX = D_MAX
+
+# Largest --max-terms eval and crosscheck accept.  The series route holds
+# about 100 bytes per term: a process peaks near 130 MB at 10**6 terms and
+# past 1 GB at 10**7.
+MAX_TERMS = 10 ** 6
 
 
 class Route(NamedTuple):
@@ -357,6 +363,11 @@ def _run_eval(alpha: float, u: float, route: str, tol: float,
     return report
 
 
+def _check_max_terms(max_terms: int) -> None:
+    if not 2 <= max_terms <= MAX_TERMS:
+        raise ValueError(f"max-terms must satisfy 2 <= max-terms <= {MAX_TERMS}")
+
+
 def _render_eval_plain(report: EvalReport, out) -> None:
     req = report.request
     print(f"log z_alpha(u) at alpha={req['alpha']} u={req['u']}", file=out)
@@ -393,8 +404,7 @@ def cmd_eval(args, out) -> int:
         raise ValueError("u must be finite")
     if not args.tol > 0:
         raise ValueError("tol must be > 0")
-    if args.max_terms < 2:
-        raise ValueError("max-terms must be >= 2")
+    _check_max_terms(args.max_terms)
     report = _run_eval(alpha, args.u, args.route, args.tol, args.max_terms)
     if args.format == "json":
         out.write(_dump_json(report.to_json_obj()))
@@ -485,6 +495,7 @@ def cmd_crosscheck(args, out) -> int:
     us = _parse_grid_u(args.grid_u)
     if not args.tol > 0:
         raise ValueError("tol must be > 0")
+    _check_max_terms(args.max_terms)
     cells = [(d, u) for d in ds for u in us]
     reports = [_run_eval(float(d), u, "all", args.tol, args.max_terms)
                for (d, u) in cells]
@@ -546,6 +557,10 @@ def cmd_stirling(args, out) -> int:
 
 
 def cmd_zeta(args, out) -> int:
+    if not math.isfinite(args.s):
+        raise ValueError("s must be finite")
+    if not math.isfinite(args.u):
+        raise ValueError("u must be finite")
     if args.s == 1.0:
         raise ValueError("s = 1 is the zeta pole (the regularized value "
                          "there is -digamma(u))")

@@ -24,9 +24,8 @@ from fractions import Fraction
 
 from .exactnum import (bernoulli_number, bernoulli_poly, harmonic,
                        stirling1_unsigned)
-from .hurwitz import (EMConfig, DEFAULT_EM, agm, digamma, euler_gamma,
-                      hurwitz_zeta, hurwitz_zeta_deriv, log_bendersky,
-                      log_gamma)
+from .hurwitz import (agm, digamma, euler_gamma, hurwitz_zeta,
+                      hurwitz_zeta_deriv, log_bendersky, log_gamma)
 from .rstirling import row_by_gf
 from .series import Approximation
 
@@ -53,8 +52,7 @@ _PRIM_ERR = 5e-15
 D_MAX = 50
 
 
-def regularized_term(k: int, u: float, cfg: EMConfig = DEFAULT_EM
-                     ) -> tuple[float, float]:
+def regularized_term(k: int, u: float) -> tuple[float, float]:
     """(T_k(u), error estimate): the k-th regularized summand of the
     product formula.
 
@@ -66,7 +64,7 @@ def regularized_term(k: int, u: float, cfg: EMConfig = DEFAULT_EM
     if k == 0:
         return -digamma(u), _PRIM_ERR * (1 + abs(digamma(u)))
     zeta_val = -float(bernoulli_poly(k)(Fraction(u))) / k
-    zd = hurwitz_zeta_deriv(1.0 - k, u, cfg)
+    zd = hurwitz_zeta_deriv(1.0 - k, u)
     return zeta_val - k * zd.deriv, k * zd.err_est + _PRIM_ERR
 
 
@@ -74,8 +72,7 @@ def _float_row(d: int, u: float) -> list[float]:
     return [float(c) for c in row_by_gf(d, 1.0 - float(u)).coeffs]
 
 
-def s_d_closed(d: int, s: float, u: float,
-               cfg: EMConfig = DEFAULT_EM) -> Approximation:
+def s_d_closed(d: int, s: float, u: float) -> Approximation:
     """S_d(s, u) by the closed form.
 
     s in {1, ..., d+1} is rejected: each such point parks one summand on
@@ -95,14 +92,14 @@ def s_d_closed(d: int, s: float, u: float,
     total = 0.0
     err = 0.0
     for k in range(d + 1):
-        z = hurwitz_zeta(s - k, u, cfg)
+        z = hurwitz_zeta(s - k, u)
         w = row[k] * (s - k - 1.0)
         total += w * z.value
         err += abs(w) * z.err_est + _PRIM_ERR * abs(w * z.value)
     return Approximation(total / fact, err / fact, d + 1)
 
 
-def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
+def log_z_closed(d: int, u: float) -> Approximation:
     """log z_d(u) by the closed form (regularized k = 0 term)."""
     if d < 0:
         raise ValueError("log_z_closed: d must be >= 0")
@@ -115,13 +112,13 @@ def log_z_closed(d: int, u: float, cfg: EMConfig = DEFAULT_EM) -> Approximation:
     total = math.log(u) / (d + 1)
     err = _PRIM_ERR
     for k in range(d + 1):
-        term, term_err = regularized_term(k, u, cfg)
+        term, term_err = regularized_term(k, u)
         total += row[k] * term / fact
         err += abs(row[k]) * term_err / fact
     return Approximation(total, err, d + 1)
 
 
-def log_z_explicit_u1(d: int, cfg: EMConfig = DEFAULT_EM) -> Approximation:
+def log_z_explicit_u1(d: int) -> Approximation:
     """log z_d at u = 1 through harmonic numbers, Bernoulli numbers, and the
     generalized Glaisher constants:
 
@@ -143,7 +140,7 @@ def log_z_explicit_u1(d: int, cfg: EMConfig = DEFAULT_EM) -> Approximation:
     err = _PRIM_ERR
     for k in range(1, d):
         w = stirling1_unsigned(d, k + 1) * (k + 1)
-        total += w * log_bendersky(k, cfg) / fact
+        total += w * log_bendersky(k) / fact
         err += abs(w) * 1e-13 / fact
     return Approximation(total, err, d)
 

@@ -259,7 +259,7 @@ def euler_gamma() -> float:
     return -digamma(1.0)
 
 
-def log_bendersky(k: int, cfg: EMConfig = DEFAULT_EM) -> float:
+def log_bendersky(k: int) -> float:
     """log A_k = (-1)^k H_k zeta(-k) - zeta'(-k).
 
     A_0 = sqrt(2 pi), A_1 is the Glaisher-Kinkelin constant.  zeta(-k) is
@@ -269,7 +269,7 @@ def log_bendersky(k: int, cfg: EMConfig = DEFAULT_EM) -> float:
     if k < 0:
         raise ValueError("log_bendersky: k must be >= 0")
     zeta_neg_k = -float(bernoulli_number(k + 1)) / (k + 1)
-    zp = hurwitz_zeta_deriv(-float(k), 1.0, cfg).deriv
+    zp = hurwitz_zeta_deriv(-float(k), 1.0).deriv
     return (-1.0) ** k * float(harmonic(k)) * zeta_neg_k - zp
 
 

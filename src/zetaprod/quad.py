@@ -23,9 +23,9 @@ one step down, log z_{d-1} / log z_{alpha-1}):
                               = sum_{n>=1} log t_n(1)/(2n+1)  (alpha=1/2, u=1)
 
 Near x = 1 the single-d bracket is a cancellation of O((1-x)^-d) pieces with
-a finite limit; inside edge_guard it is evaluated from its exact expansion
-in (1-x), whose coefficients come from the Bernoulli numbers of the second
-kind (the power-series coefficients of y/log(1+y)).
+a finite limit; for 1-x below _EDGE_GUARD it is evaluated from its exact
+expansion in (1-x), whose coefficients come from the Bernoulli numbers of
+the second kind (the power-series coefficients of y/log(1+y)).
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ __all__ = [
 
 _EPS = 2.0 ** -52
 
+# Below this distance 1-x from x = 1, the single-d bracket and the elementary
+# integrand are evaluated from their power series in 1-x.
+_EDGE_GUARD = 0.05
+
 
 class QuadratureNonConvergence(RuntimeError):
     """Raised when level_max is exhausted, or at the level where the level
@@ -70,19 +74,16 @@ class QuadratureNonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tanh-sinh tuning: halving depth, absolute tolerance, endpoint guard."""
+    """Tanh-sinh tuning: halving depth and absolute tolerance."""
 
     level_max: int = 12
     abs_tol: float = 1e-11
-    edge_guard: float = 0.05
 
     def __post_init__(self):
         if not 1 <= self.level_max <= 14:
             raise ValueError("QuadConfig: level_max must be in 1..14")
         if not self.abs_tol >= 1e-14:
             raise ValueError("QuadConfig: abs_tol must be >= 1e-14")
-        if not 0.0 < self.edge_guard < 0.1:
-            raise ValueError("QuadConfig: edge_guard must lie in (0, 0.1)")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -265,15 +266,14 @@ def _bracket_series(d: int, nterms: int) -> np.ndarray:
     return out
 
 
-def _bracket_values(d: int, eps: np.ndarray, log_x: np.ndarray,
-                    guard: float) -> np.ndarray:
+def _bracket_values(d: int, eps: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     """The single-d bracket; eps = 1-x and log_x are cancellation-free."""
     if d == 0:
         return np.ones_like(eps)
     out = np.empty_like(eps)
-    near = eps < guard
+    near = eps < _EDGE_GUARD
     if near.any():
-        nterms = max(10, int(math.ceil(40.0 / -math.log10(guard))))
+        nterms = max(10, int(math.ceil(40.0 / -math.log10(_EDGE_GUARD))))
         beta = _bracket_series(d, nterms)
         e = eps[near]
         acc = np.zeros_like(e)
@@ -301,7 +301,7 @@ def integrate_single_d(d: int, u: float,
 
     def f(nodes):
         xp = np.exp((u - 1.0) * nodes.log_x)
-        return xp * _bracket_values(d, nodes.eps, nodes.log_x, cfg.edge_guard)
+        return xp * _bracket_values(d, nodes.eps, nodes.log_x)
 
     value, err, nodes_used = _integrate(f, cfg)
     return Approximation(value, err, nodes_used)
@@ -442,16 +442,14 @@ def integrate_elementary_half(cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
     series oracle in the tests, not assumed.)  The integrand has finite
     endpoint limits: 1/3 at x = 1 and 1/2 at x = 0.
     """
-    guard = cfg.edge_guard
-
     def f(nodes):
         eps, log_x = nodes.eps, nodes.log_x
         out = np.empty_like(eps)
-        near1 = eps < guard
+        near1 = eps < _EDGE_GUARD
         if near1.any():
             # 1 - atanh(sqrt(e))/sqrt(e) = -sum_{m>=1} e^m/(2m+1)
             e = eps[near1]
-            nterms = max(8, int(math.ceil(18.0 / -math.log10(guard))))
+            nterms = max(8, int(math.ceil(18.0 / -math.log10(_EDGE_GUARD))))
             acc = np.zeros_like(e)
             for m in range(nterms, 0, -1):
                 acc = acc * e + 1.0 / (2 * m + 1)

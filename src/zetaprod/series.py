@@ -300,25 +300,20 @@ def _inner_diff_quad_sweep(s: float, u: float, n_lo: int, n_hi: int) -> np.ndarr
     return norm * _power_sums(base, cc, n_lo, n_hi)
 
 
-def _inner_differences(s: float, u: float, N: int,
-                       method: DifferenceMethod) -> np.ndarray:
-    """D_n(s,u) for n = 0..N with the chosen cancellation control.
+def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
+    """D_n(s,u) for n = 0..N.
 
-    alternating_sum is rejected beyond ALTERNATING_MAX_N.  The quadrature
-    method uses the exact-sum route (alternating sums of 50-digit powers)
-    below the cancellation cap and the normalized integral beyond it.
+    The exact-sum route (alternating sums of 50-digit powers) serves
+    n <= ALTERNATING_MAX_N and the normalized integral every n beyond it.
     Positive-integer powers m = 1-s terminate exactly (D_n = 0 for n > m),
-    and for both methods that exact zero is used directly for every such
-    n: the 50-digit sums would leave rounding noise there, and the Gamma
-    normalization degenerates.
+    and that exact zero is used directly for every such n: the 50-digit
+    sums would leave rounding noise there, and the Gamma normalization
+    degenerates.
     """
     if s == 1.0:
         out = np.zeros(N + 1)
         out[0] = 1.0
         return out
-    if method is DifferenceMethod.ALTERNATING and N > ALTERNATING_MAX_N:
-        raise ValueError(f"alternating_sum is limited to n <= {ALTERNATING_MAX_N} "
-                         "in 53-bit precision; use frullani_quadrature")
     out = np.empty(N + 1)
     cap = min(N, ALTERNATING_MAX_N)
     out[:cap + 1] = _inner_diff_alternating(cap, s, u)
@@ -382,9 +377,7 @@ def _fit_decay_coefficient(mags: np.ndarray, ns: np.ndarray, u: float) -> float:
     return _median(window) if len(window) else 0.0
 
 
-def s_alpha_truncated(p: EvalParams, N: int,
-                      method: DifferenceMethod = DifferenceMethod.FRULLANI
-                      ) -> Approximation:
+def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     """Partial sum of S_alpha(s, u) over n = 0..N.
 
     err_est comes from the fitted decay model c*n^-u for the inner
@@ -395,7 +388,7 @@ def s_alpha_truncated(p: EvalParams, N: int,
         raise ValueError("s_alpha_truncated: params must carry s")
     if N < 1:
         raise ValueError("s_alpha_truncated: N must be >= 1")
-    inner = _inner_differences(p.s, p.u, N, method)
+    inner = _inner_differences(p.s, p.u, N)
     ns = np.arange(N + 1, dtype=float)
     weights = 1.0 / (ns + p.alpha + 1.0)
     value = math.fsum(inner * weights)
@@ -483,9 +476,10 @@ def _model_sum(c: float, q: float, u: float, a1: float, A: int, B: int) -> float
     return total
 
 
-def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, N: int,
+def _tail_model(terms_abs: np.ndarray, u: float, N: int,
                 a1: float) -> tuple[float, float]:
-    """Fitted tail of sum_{n>N} |log t_n|/(n+alpha+1), with a1 = alpha+1.
+    """Fitted tail of sum_{n>N} |log t_n|/(n+alpha+1), with a1 = alpha+1
+    and terms_abs[n-1] = |log t_n| for n = 1..N (or beyond).
 
     Model: |log t_n| * n^u ~ c / (log n + q), fitted linearly on the
     reciprocal over the trailing window.  The model is summed over
@@ -493,12 +487,12 @@ def _tail_model(terms_abs: np.ndarray, ns: np.ndarray, u: float, N: int,
     and past 20N by an integral remainder.  Returns (tail, uncertainty).
     """
     lo = max(2, N // 4)
-    window_ns = ns[lo - 1:]
-    window = terms_abs[lo - 1:] * window_ns.astype(float) ** u
+    window_ns = np.arange(lo, N + 1, dtype=float)
+    window = terms_abs[lo - 1:N] * window_ns ** u
     good = window > 0
     if good.sum() < 8:
         return 0.0, 0.0
-    x = np.log(window_ns[good].astype(float))
+    x = np.log(window_ns[good])
     y = 1.0 / window[good]
     a, b = np.polyfit(x, y, 1)  # 1/r ~ a*log n + b
     if a <= 0 or not math.isfinite(a) or not math.isfinite(b):
@@ -535,27 +529,21 @@ def log_z_direct(p: EvalParams, N: int,
         logt = np.array(_log_tn_alternating(N, p.u))
     else:
         logt = log_tn_sweep(p.u, N)
-    ns = np.arange(N + 1, dtype=float)
-    terms = logt[1:] / (ns[1:] + p.alpha + 1.0)
-    partial = np.cumsum(terms)
-
-    def raw_at(M: int) -> float:
-        return float(partial[M - 1])
-
-    c_plateau = _fit_decay_coefficient(np.abs(logt[1:]), np.arange(1, N + 1), p.u)
-    err_raw = c_plateau * N ** (-p.u) / p.u
+    ns = np.arange(1, N + 1, dtype=float)
+    partial = np.cumsum(logt[1:] / (ns + p.alpha + 1.0))
+    abs_logt = np.abs(logt[1:])
     if not tightened:
-        return Approximation(raw_at(N), err_raw + 4e-15 * N ** 0.5, N)
+        c_plateau = _fit_decay_coefficient(abs_logt, ns, p.u)
+        err_raw = c_plateau * N ** (-p.u) / p.u
+        return Approximation(float(partial[-1]), err_raw + 4e-15 * N ** 0.5, N)
 
     half = N // 2
     a1 = p.alpha + 1.0
-    ns_all = np.arange(1, N + 1)
-    abs_logt = np.abs(logt[1:])
-    tail_N, unc_N = _tail_model(abs_logt, ns_all, p.u, N, a1)
-    corrected_N = raw_at(N) + tail_N
+    tail_N, unc_N = _tail_model(abs_logt, p.u, N, a1)
+    corrected_N = float(partial[-1]) + tail_N
     if half >= 8:
-        tail_h, _ = _tail_model(abs_logt[:half], ns_all[:half], p.u, half, a1)
-        corrected_h = raw_at(half) + tail_h
+        tail_h, _ = _tail_model(abs_logt, p.u, half, a1)
+        corrected_h = float(partial[half - 1]) + tail_h
         r = 2.0 ** (-p.u)
         extrapolated = (corrected_N - r * corrected_h) / (1.0 - r)
         spread = abs(corrected_N - corrected_h)
@@ -574,7 +562,7 @@ def resummed_power_partial(s: float, u: float, N: int) -> float:
         raise ValueError("resummed_power_partial: u must be > 0")
     if N < 0:
         raise ValueError("resummed_power_partial: N must be >= 0")
-    inner = _inner_differences(s, u + 1.0, max(N, 1), DifferenceMethod.FRULLANI)
+    inner = _inner_differences(s, u + 1.0, max(N, 1))
     return math.fsum(inner[:N + 1])
 
 

@@ -11,8 +11,8 @@ import pytest
 
 from zetaprod import cli
 from zetaprod.cli import (ALPHA_MAX, CONSTANTS_SCHEMA_V1, EXIT_IO,
-                          EXIT_NUMERIC_FAIL,
-                          EXIT_PASS, EXIT_USAGE, REPORT_SCHEMA_V1, ROUTES,
+                          EXIT_NUMERIC_FAIL, EXIT_PASS, EXIT_USAGE, MAX_TERMS,
+                          REPORT_SCHEMA_V1, ROUTES,
                           build_parser, derive_constants, golden_path, main,
                           read_golden, write_golden)
 from zetaprod.closedform import log_z_closed
@@ -334,6 +334,11 @@ class TestUsageErrors:
         (("eval", "--d", "1", "--u", "inf"), "u must be finite"),
         (("crosscheck", "--grid-d", "1", "--grid-u", "inf"), "malformed --grid-u"),
         (("crosscheck", "--grid-d", "1", "--grid-u", "nan"), "malformed --grid-u"),
+        (("zeta", "--s", "0.5", "--u", "inf"), "u must be finite"),
+        (("zeta", "--s", "0.5", "--u", "nan"), "u must be finite"),
+        (("zeta", "--s", "nan"), "s must be finite"),
+        (("zeta", "--s", "inf"), "s must be finite"),
+        (("zeta", "--s=-inf", "--deriv"), "s must be finite"),
     ])
     def test_non_finite_input_is_a_domain_error(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
@@ -378,3 +383,28 @@ class TestAlphaBound:
                 total += mpmath.mpf(c.numerator) / c.denominator * t_k
             ref = float(mpmath.log(U) / (d + 1) + total / math.factorial(d))
         assert abs(log_z_closed(d, u).value - ref) <= 1e-7 * abs(ref)
+
+
+class TestMaxTermsBound:
+    @pytest.mark.parametrize("command", [
+        ("eval", "--d", "1", "--u", "1"),
+        ("crosscheck", "--grid-d", "1", "--grid-u", "1"),
+    ])
+    @pytest.mark.parametrize("n", ["-5", "0", "1", str(MAX_TERMS + 1),
+                                   "100000000"])
+    def test_outside_bounds_is_a_domain_error(self, capsys, command, n):
+        code, out, err = run(capsys, *command, "--max-terms", n)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: max-terms must satisfy ")
+        assert f"<= {MAX_TERMS}" in err
+
+    @pytest.mark.parametrize("command", [
+        ("eval", "--d", "1", "--u", "1", "--route", "series"),
+        ("crosscheck", "--grid-d", "1", "--grid-u", "1"),
+    ])
+    def test_smallest_is_evaluated(self, capsys, command):
+        code, out, _ = run(capsys, *command, "--max-terms", "2",
+                           "--format", "json")
+        assert code in (EXIT_PASS, EXIT_NUMERIC_FAIL)
+        assert json.loads(out)["schema_version"] == 1

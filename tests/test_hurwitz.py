@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,18 @@ class TestRefinement:
         a = hurwitz_zeta(s, u, EMConfig(N=40, J=12))
         b = hurwitz_zeta(s, u, EMConfig(N=60, J=12))
         assert abs(a.value - b.value) <= a.err_est
+
+
+class TestStdlibOnlyImports:
+    # the exact and special-function modules need only the standard
+    # library, so importing one must not load numpy or the routes
+    @pytest.mark.parametrize("module", ["zetaprod.hurwitz", "zetaprod.exactnum",
+                                        "zetaprod.rstirling"])
+    def test_import_leaves_numpy_unloaded(self, module):
+        code = f"import sys, {module}\nassert 'numpy' not in sys.modules\n"
+        root = Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -97,8 +97,6 @@ class TestEngine:
             QuadConfig(level_max=0)
         with pytest.raises(ValueError):
             QuadConfig(abs_tol=1e-15)
-        with pytest.raises(ValueError):
-            QuadConfig(edge_guard=0.5)
 
     def test_cached_nodes_are_read_only(self):
         # every call shares a level's node arrays

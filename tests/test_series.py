@@ -136,7 +136,7 @@ class TestSharedAlternatingSums:
     @pytest.mark.parametrize("s,u", [(1.5, 0.05), (2.3, 0.7), (3.0, 10.0),
                                      (-1.0, 1.5), (0.5, 2.0)])
     def test_inner_differences(self, s, u):
-        got = _inner_differences(s, u, ALTERNATING_MAX_N, ALT)
+        got = _inner_differences(s, u, ALTERNATING_MAX_N)
         want = [literal_inner_diff(n, s, u)
                 for n in range(ALTERNATING_MAX_N + 1)]
         assert got.tolist() == want
@@ -345,7 +345,7 @@ class TestSAlphaTruncated:
         # 1-s = 1: inner sums vanish for n > 1, so any N >= 2 gives the
         # exact finite value
         a = s_alpha_truncated(EvalParams(0.0, 1.0, s=0.0), 50)
-        b = s_alpha_truncated(EvalParams(0.0, 1.0, s=0.0), 2, ALT)
+        b = s_alpha_truncated(EvalParams(0.0, 1.0, s=0.0), 2)
         assert a.value == pytest.approx(b.value, abs=1e-14)
         assert a.err_est < 1e-12
 
@@ -363,10 +363,6 @@ class TestSAlphaTruncated:
         a = s_alpha_truncated(EvalParams(0.5, 1.0, s=2.0), 500)
         assert math.isfinite(a.value)
         assert a.err_est < 1e-2
-
-    def test_alternating_cap_enforced(self):
-        with pytest.raises(ValueError):
-            s_alpha_truncated(EvalParams(0.0, 1.0, s=2.0), 41, ALT)
 
     def test_rejects_forbidden_alpha(self):
         with pytest.raises(ValueError):
@@ -388,11 +384,10 @@ class TestInnerSumAnnihilation:
         assert inner_diff_exact(2, 2, Fraction(1)) == 2  # 1 - 2*4 + 9
 
     def test_terminating_entries_are_exact_zeros(self):
-        # 1-s = 4: D_n(-3, u) = 0 for n >= 5, for both methods
-        for method in (ALT, FRU):
-            got = _inner_differences(-3.0, 0.065, ALTERNATING_MAX_N, method)
-            assert got[5:].tolist() == [0.0] * (ALTERNATING_MAX_N - 4)
-            assert got[4] != 0.0
+        # 1-s = 4: D_n(-3, u) = 0 for n >= 5
+        got = _inner_differences(-3.0, 0.065, ALTERNATING_MAX_N)
+        assert got[5:].tolist() == [0.0] * (ALTERNATING_MAX_N - 4)
+        assert got[4] != 0.0
 
 
 class TestLogZDirect:
