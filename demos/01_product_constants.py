@@ -33,7 +33,7 @@ references = {
 
 
 def cell(route, alpha: float) -> str:
-    if route.declines(alpha) is not None:
+    if route.declines(alpha, MAX_TERMS) is not None:
         return f"{'(declines)':>17}"
     return f"{route.evaluate(alpha, 1.0, MAX_TERMS, QCFG).value:>17.14f}"
 

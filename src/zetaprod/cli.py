@@ -38,7 +38,8 @@ from .hurwitz import (agm, euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv,
 from .quad import (QuadConfig, QuadratureNonConvergence, integrate_double,
                    integrate_prelim, integrate_single_d)
 from .rstirling import row_by_gf
-from .series import Approximation, DifferenceMethod, EvalParams, log_z_direct
+from .series import (Approximation, DifferenceMethod, EvalParams, head_terms,
+                     log_z_direct)
 
 __all__ = [
     "main",
@@ -68,15 +69,15 @@ SCHEMA_VERSION = 1
 # Largest |alpha| (and |d| of a crosscheck grid) the CLI accepts.
 ALPHA_MAX = D_MAX
 
-# Largest --max-terms eval and crosscheck accept.  The series route holds
-# about 100 bytes per term: a process peaks near 130 MB at 10**6 terms and
-# past 1 GB at 10**7.
+# Largest --max-terms eval and crosscheck accept, as input validation: the
+# flag caps the series head (series.head_terms, 200 to 408 terms in the
+# alpha range), so no value past that head changes the work or the value.
 MAX_TERMS = 10 ** 6
 
 
 class Route(NamedTuple):
     name: str
-    declines: Callable[[float], str | None]
+    declines: Callable[[float, int], str | None]
     evaluate: Callable[[float, float, int, QuadConfig], Approximation]
 
 
@@ -89,30 +90,37 @@ def _excluded(alpha: float) -> str | None:
             if _is_int(alpha) and alpha <= -2 else None)
 
 
-# Every route in report order.  declines(alpha) is the reason a route does
-# not apply, or None.  evaluate(alpha, u, max_terms, qcfg) looks up its
-# module-level route function when called, so a name patched at run time
-# is seen.  Integrand index d gives log z_{d-1}: integrals take alpha + 1.
+def _series_head(alpha: float, max_terms: int) -> str | None:
+    head = head_terms(alpha + 1.0)
+    return (f"the series head is {head} terms, above max-terms {max_terms}"
+            if max_terms < head else None)
+
+
+# Every route in report order.  declines(alpha, max_terms) is the reason a
+# route does not apply, or None.  evaluate(alpha, u, max_terms, qcfg) looks
+# up its module-level route function when called, so a name patched at run
+# time is seen.  Integrand index d gives log z_{d-1}: integrals take
+# alpha + 1.
 ROUTES = (
     Route("closed",
-          lambda a: None if _is_int(a) and a >= 0
+          lambda a, n: None if _is_int(a) and a >= 0
           else "closed form needs integer alpha >= 0",
           lambda a, u, n, q: log_z_closed(int(a), u)),
-    Route("series", _excluded,
+    Route("series", lambda a, n: _excluded(a) or _series_head(a, n),
           lambda a, u, n, q: log_z_direct(
               EvalParams(a, u), n, DifferenceMethod.FRULLANI, tightened=True)),
     Route("integral-single",
-          lambda a: _excluded(a) or (
+          lambda a, n: _excluded(a) or (
               None if _is_int(a) and a >= -1
               else "single integral needs integer alpha >= -1"),
           lambda a, u, n, q: integrate_single_d(int(a) + 1, u, q)),
     Route("integral-double",
-          lambda a: _excluded(a) or (None if a > -2
-                                     else "double integral needs alpha > -2"),
+          lambda a, n: _excluded(a) or (
+              None if a > -2 else "double integral needs alpha > -2"),
           lambda a, u, n, q: integrate_double(a + 1.0, u, q)),
     Route("integral-prelim",
-          lambda a: _excluded(a) or (None if a > -2
-                                     else "preliminary integral needs alpha > -2"),
+          lambda a, n: _excluded(a) or (
+              None if a > -2 else "preliminary integral needs alpha > -2"),
           lambda a, u, n, q: integrate_prelim(a + 1.0, u, q)),
 )
 
@@ -340,7 +348,7 @@ def _run_eval(alpha: float, u: float, route: str, tol: float,
     qcfg = QuadConfig()
     wanted = [r for r in ROUTES if route in ("all", r.name)]
     for r in wanted:
-        why = r.declines(alpha)
+        why = r.declines(alpha, max_terms)
         if why is not None:
             if route != "all":
                 raise ValueError(f"route {r.name} inapplicable: {why}")

@@ -31,9 +31,9 @@ are provided and cross-checked:
 
 Truncated sums report an err_est from an empirical decay model fitted to
 the computed terms (|log t_n| ~ C n^-u up to slowly varying factors); the
-model is a runtime fit, not a theorem.  The refined direct series fits it
-at N and at N/2 and sums each fitted tail as an explicit head plus
-Euler-Maclaurin; no grid of tail terms is built.
+model is a runtime fit, not a theorem.  The tightened direct series has no
+fitted tail: it sums an explicit head of at least 200 terms and adds the
+exact tail from log t_n(u) = int_0^inf B(u+v, n+1) dv (see _beta_tail).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactnum import binomial, bernoulli_poly
+from .exactnum import bernoulli_number, bernoulli_poly, binomial
 from .rstirling import row_by_gf, shift_from_u
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "log_tn_sweep",
     "s_alpha_truncated",
     "log_z_direct",
+    "head_terms",
     "resummed_power_partial",
     "functional_eq_residual",
     "inner_diff_exact",
@@ -111,6 +112,9 @@ class Approximation:
     terms_used: int
 
     def __post_init__(self):
+        # plain floats, so that repr (the CSV cells) never reads np.float64
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "err_est", float(self.err_est))
         if not (math.isfinite(self.err_est) and self.err_est >= 0):
             raise ValueError("Approximation: err_est must be finite and >= 0")
         if self.terms_used < 1:
@@ -400,156 +404,135 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     return Approximation(value, err, N + 1)
 
 
-# 32-point Gauss-Legendre rule on [-1, 1] for the integral in _em_sum: the
-# positive nodes and their weights, correctly rounded from a 40-digit Newton
-# iteration on the Legendre recurrence (tests re-derive them).  24 points
-# lose up to 2e-11 of the sum when the pole of 1/(log m + q) sits at the
-# head's end; 32 keep it within 1.2e-13.
-_GL_HALF = np.array([
-    (0.9972638618494816, 0.007018610009470096),
-    (0.9856115115452684, 0.01627439473090567),
-    (0.9647622555875064, 0.02539206530926206),
-    (0.9349060759377397, 0.03427386291302143),
-    (0.8963211557660521, 0.04283589802222668),
-    (0.84936761373257, 0.050998059262376175),
-    (0.7944837959679424, 0.058684093478535544),
-    (0.7321821187402897, 0.06582222277636185),
-    (0.6630442669302152, 0.0723457941088485),
-    (0.5877157572407623, 0.07819389578707031),
-    (0.5068999089322294, 0.08331192422694675),
-    (0.42135127613063533, 0.08765209300440381),
-    (0.33186860228212767, 0.09117387869576389),
-    (0.23928736225213706, 0.09384439908080457),
-    (0.1444719615827965, 0.09563872007927486),
-    (0.04830766568773832, 0.0965400885147278),
-])
-_GL_X = np.concatenate([_GL_HALF[:, 0], -_GL_HALF[:, 0]])
-_GL_W = np.concatenate([_GL_HALF[:, 1], _GL_HALF[:, 1]])
-_HEAD_TERMS = 1024
-_FLOOR = 0.3
+# --------------------------------------------------------------------------
+# the direct series' exact tail
+# --------------------------------------------------------------------------
+#
+# With 1/t = int_0^inf e^(-vt) dv inside the t-integral of log t_n,
+# log t_n(u) = int_0^inf B(u+v, n+1) dv, and so
+#
+#   sum_{n>=X} log t_n(u)/(n+a1) = int_0^inf Gamma(s) S(s) dv,  s = u+v,
+#   S(s) = sum_{n>=X} Gamma(n+1)/Gamma(n+1+s) / (n+a1).
+#
+# log(Gamma(n+1)/Gamma(n+1+s)) = -s log n + sum_k beta_k(s) n^-k (DLMF
+# 5.11.8), so each summand of S is sum_m e_m(s) n^-(s+1+m); every power is
+# summed over n >= X by Euler-Maclaurin, and the v-integral is an exp-sinh
+# rule (Takahasi & Mori 1974) in v log X.
+
+_HEAD_MIN = 200     # head terms; the tail's expansions need X >> s, |a1|
+_HEAD_PER_A1 = 8    # and a head of at least 8 |a1| terms
+_K_BETA = 10        # beta_k(s), k = 1..10
+_M_TAIL = 14        # e_m(s), m = 0..14
+_J_EM = 6           # Bernoulli corrections of each power sum
 
 
-def _model(c: float, q: float, u: float, a1: float, m):
-    """The tail model c / (max(log m + q, 0.3) m^u (m + a1))."""
-    return c / (np.maximum(np.log(m) + q, _FLOOR) * m ** u * (m + a1))
+def _beta_matrix() -> np.ndarray:
+    """Row k-1 holds k beta_k(s) by powers s^0..s^(K+1), with
+    beta_k(s) = (-1)^k (B_{k+1}(1+s) - B_{k+1}(1)) / (k(k+1)) and
+    B_n(1+s) = sum_j C(n,j) B_{n-j}(1) s^j, where B_1(1) = +1/2."""
+    out = np.zeros((_K_BETA, _K_BETA + 2))
+    for k in range(1, _K_BETA + 1):
+        n = k + 1
+        for j in range(1, n + 1):
+            b = bernoulli_number(n - j) if n - j != 1 else Fraction(1, 2)
+            out[k - 1, j] = float((-1) ** k * binomial(n, j) * b / (k + 1))
+    return out
 
 
-def _em_sum(c: float, q: float, u: float, a1: float, lo: int, hi: int) -> float:
-    """sum_{m=lo}^{hi} of _model by Euler-Maclaurin, through the B_2 term.
+_KBETA = _beta_matrix()
+_EM_COEF = [float(bernoulli_number(2 * j) / math.factorial(2 * j))
+            for j in range(1, _J_EM + 1)]
 
-    The model must be smooth on [lo, hi]: the floor binds everywhere there
-    or nowhere, and the midpoint tells which (an endpoint may sit on the
-    kink).  The integral runs in x = log m, where it is smooth.
+# exp-sinh nodes z = v log X = exp(pi/2 sinh t), t = -4.25 + i/16, kept while
+# z <= 45 (the integrand falls like X^-v = e^-z), and the weights h dz/dt
+_ES_T = -4.25 + np.arange(100) / 16.0
+_ES_Z = np.exp(0.5 * math.pi * np.sinh(_ES_T))
+_ES_W = _ES_Z * 0.5 * math.pi * np.cosh(_ES_T) / 16.0
+_ES_W = _ES_W[_ES_Z <= 45.0]
+_ES_Z = _ES_Z[_ES_Z <= 45.0]
+
+
+def head_terms(a1: float) -> int:
+    """Terms of log_z_direct's explicit head at alpha = a1 - 1."""
+    return max(_HEAD_MIN, math.ceil(_HEAD_PER_A1 * abs(a1)))
+
+
+def _beta_tail(u: float, a1: float, X: int) -> tuple[float, float]:
+    """sum_{n>=X} log t_n(u)/(n+a1) by the Beta-integral identity, and its
+    error estimate: the change from h = 1/8 to the h = 1/16 exp-sinh rule
+    plus the size of the last (m = 14) term.
+
+    Needs X >> |a1|; nodes with s = u+v > X/4, where the expansions in s/X
+    fail, are dropped (their weight there is below (4e)^(-X/4)).
     """
-    x_lo, x_hi = math.log(lo), math.log(hi)
-    h = 0.5 * (x_hi - x_lo)
-    m = np.exp(x_lo + h * (1.0 + _GL_X))
-    total = h * float(np.dot(_GL_W, _model(c, q, u, a1, m) * m))
-    unfloored = math.log(0.5 * (lo + hi)) + q >= _FLOOR
-    for end, sign in ((lo, -1.0), (hi, 1.0)):
-        f = float(_model(c, q, u, a1, end))
-        dlog_g = 1.0 / max(math.log(end) + q, _FLOOR) if unfloored else 0.0
-        df = -f * ((dlog_g + u) / end + 1.0 / (end + a1))
-        total += 0.5 * f + sign * df / 12.0
-    return total
-
-
-def _model_sum(c: float, q: float, u: float, a1: float, A: int, B: int) -> float:
-    """sum_{m=A}^{B} c / (max(log m + q, 0.3) m^u (m + a1)).
-
-    The first 1024 terms are added explicitly and the rest by
-    Euler-Maclaurin, split where the 0.3 floor stops binding so that each
-    side is smooth.
-    """
-    head = np.arange(A, min(B, A + _HEAD_TERMS - 1) + 1, dtype=float)
-    total = float(np.sum(_model(c, q, u, a1, head)))
-    lo = A + _HEAD_TERMS
-    if lo > B:
-        return total
-    split = lo                      # first m with log m + q >= 0.3
-    if math.log(lo) + q < _FLOOR:
-        split = (B + 1 if math.log(B) + q < _FLOOR
-                 else math.ceil(math.exp(_FLOOR - q)))
-    for a, b in ((lo, split - 1), (split, B)):
-        if a <= b:
-            total += _em_sum(c, q, u, a1, a, b)
-    return total
-
-
-def _tail_model(terms_abs: np.ndarray, u: float, N: int,
-                a1: float) -> tuple[float, float]:
-    """Fitted tail of sum_{n>N} |log t_n|/(n+alpha+1), with a1 = alpha+1
-    and terms_abs[n-1] = |log t_n| for n = 1..N (or beyond).
-
-    Model: |log t_n| * n^u ~ c / (log n + q), fitted linearly on the
-    reciprocal over the trailing window.  The model is summed over
-    m = N+1..20N by _model_sum (an explicit head plus Euler-Maclaurin),
-    and past 20N by an integral remainder.  Returns (tail, uncertainty).
-    """
-    lo = max(2, N // 4)
-    window_ns = np.arange(lo, N + 1, dtype=float)
-    window = terms_abs[lo - 1:N] * window_ns ** u
-    good = window > 0
-    if good.sum() < 8:
-        return 0.0, 0.0
-    x = np.log(window_ns[good])
-    y = 1.0 / window[good]
-    a, b = np.polyfit(x, y, 1)  # 1/r ~ a*log n + b
-    if a <= 0 or not math.isfinite(a) or not math.isfinite(b):
-        c = _median(window)
-        tail = c * N ** (-u) / u
-        return tail, tail * 0.5
-    c, q = 1.0 / a, b / a
-    M = 20.0 * N
-    remainder = c * M ** (-u) / (u * max(math.log(M) + q, _FLOOR))
-    tail = _model_sum(c, q, u, a1, N + 1, 20 * N) + remainder
-    # model error is O(1/log N) relative: charge a conservative slice of it
-    return tail, tail * 2.5 / math.log(N)
+    log_x = math.log(X)
+    keep = int(np.searchsorted(_ES_Z, (0.25 * X - u) * log_x, side="right"))
+    s = u + _ES_Z[:keep] / log_x
+    w = _ES_W[:keep] / log_x * np.array([math.gamma(x) for x in s])
+    # e_m(s): exp of sum_k beta_k(s) y^k by its power-series recurrence,
+    # then divided by 1 + a1 y (y = 1/n)
+    kb = _KBETA @ np.power(s, np.arange(_K_BETA + 2)[:, None])
+    e = np.empty((_M_TAIL + 1, keep))
+    g = np.empty((_M_TAIL + 1, keep))
+    e[0] = g[0] = 1.0
+    for m in range(1, _M_TAIL + 1):
+        k = min(m, _K_BETA)
+        g[m] = np.einsum("kp,kp->p", kb[:k], g[m - 1::-1][:k]) / m
+        e[m] = g[m] - a1 * e[m - 1]
+    # sum_{n>=X} n^-p, p = s+1+m, by Euler-Maclaurin at X
+    ms = np.arange(_M_TAIL + 1.0)[:, None]
+    p = s + 1.0 + ms
+    r = p / X
+    corr = _EM_COEF[0] * r
+    for j in range(2, _J_EM + 1):
+        r = r * (p + (2 * j - 3)) * (p + (2 * j - 2)) / (X * X)
+        corr += _EM_COEF[j - 1] * r
+    x_pow = np.exp(-(s + 1.0) * log_x) * float(X) ** -ms
+    sums = x_pow * (X / (p - 1.0) + 0.5 + corr)
+    terms = e * sums * w
+    f = terms.sum(axis=0)
+    fine = float(f.sum())
+    coarse = 2.0 * float(f[::2].sum())
+    return fine, abs(fine - coarse) + float(np.abs(terms[-1]).sum())
 
 
 def log_z_direct(p: EvalParams, N: int,
                  method: DifferenceMethod = DifferenceMethod.FRULLANI,
                  tightened: bool = False) -> Approximation:
-    """Partial sum sum_{n=1}^N log t_n(u) / (n+alpha+1).
+    """The direct series sum_{n>=1} log t_n(u) / (n+alpha+1).
 
-    With tightened=False the raw partial sum is returned with the decay
-    model tail as err_est.  With tightened=True the fitted tail is added
-    and one Richardson level (exponent u, halved N) is applied on top;
-    raw and refined values are available through the two modes.  Each
-    fitted tail, at N and at N/2, is summed as 1024 explicit terms plus
-    Euler-Maclaurin (see _model_sum).
+    With tightened=False this is the raw partial sum over n <= N, with the
+    decay model's tail as err_est.  With tightened=True it is the whole
+    series: an explicit head of H = head_terms(alpha+1) terms plus the
+    exact tail (_beta_tail).  N caps the head, so N < H raises a
+    ValueError that names H, and no N beyond H changes the value.
     """
     p.require_product_valid()
-    if N < 1:
+    a1 = p.alpha + 1.0
+    n_head = N
+    if tightened:
+        n_head = head_terms(a1)
+        if N < n_head:
+            raise ValueError(f"log_z_direct: the series head is {n_head} "
+                             f"terms at alpha = {p.alpha}, above N = {N}")
+    if n_head < 1:
         raise ValueError("log_z_direct: N must be >= 1")
     if method is DifferenceMethod.ALTERNATING:
-        if N > ALTERNATING_MAX_N:
+        if n_head > ALTERNATING_MAX_N:
             raise ValueError(f"log_z_direct: alternating_sum is limited to "
                              f"N <= {ALTERNATING_MAX_N}")
-        logt = np.array(_log_tn_alternating(N, p.u))
+        logt = np.array(_log_tn_alternating(n_head, p.u))
     else:
-        logt = log_tn_sweep(p.u, N)
-    ns = np.arange(1, N + 1, dtype=float)
-    partial = np.cumsum(logt[1:] / (ns + p.alpha + 1.0))
-    abs_logt = np.abs(logt[1:])
+        logt = log_tn_sweep(p.u, n_head)
+    ns = np.arange(1, n_head + 1, dtype=float)
+    head = float(np.sum(logt[1:] / (ns + a1)))
+    rounding = 4e-15 * n_head ** 0.5
     if not tightened:
-        c_plateau = _fit_decay_coefficient(abs_logt, ns, p.u)
+        c_plateau = _fit_decay_coefficient(np.abs(logt[1:]), ns, p.u)
         err_raw = c_plateau * N ** (-p.u) / p.u
-        return Approximation(float(partial[-1]), err_raw + 4e-15 * N ** 0.5, N)
-
-    half = N // 2
-    a1 = p.alpha + 1.0
-    tail_N, unc_N = _tail_model(abs_logt, p.u, N, a1)
-    corrected_N = float(partial[-1]) + tail_N
-    if half >= 8:
-        tail_h, _ = _tail_model(abs_logt, p.u, half, a1)
-        corrected_h = float(partial[half - 1]) + tail_h
-        r = 2.0 ** (-p.u)
-        extrapolated = (corrected_N - r * corrected_h) / (1.0 - r)
-        spread = abs(corrected_N - corrected_h)
-        err = max(unc_N, 0.6 * spread) + 4e-15 * N ** 0.5
-        return Approximation(extrapolated, err, N)
-    return Approximation(corrected_N, unc_N + 4e-15 * N ** 0.5, N)
+        return Approximation(head, err_raw + rounding, N)
+    tail, tail_err = _beta_tail(p.u, a1, n_head + 1)
+    return Approximation(head + tail, tail_err + rounding, n_head)
 
 
 def resummed_power_partial(s: float, u: float, N: int) -> float:

@@ -94,6 +94,19 @@ class TestEvalCommand:
         assert rows[0] == ["route", "value", "err_est", "terms"]
         assert len(rows) >= 5  # header + at least 4 routes
 
+    def test_csv_series_row_holds_plain_floats(self, capsys):
+        # numpy 2's repr of np.float64 once leaked into these cells
+        code, out, _ = run(capsys, "eval", "--d", "2", "--u", "1",
+                           "--route", "series", "--format", "csv")
+        assert code == EXIT_PASS
+        header, row = csv.reader(io.StringIO(out))
+        assert header == ["route", "value", "err_est", "terms"]
+        route, value, err_est, terms = row
+        assert (route, terms) == ("series", "200")
+        assert repr(float(value)) == value and repr(float(err_est)) == err_est
+        assert abs(float(value) - log_z_closed(2, 1.0).value) <= float(err_est)
+        assert 0.0 < float(err_est) < 1e-12
+
 
 CLOSED = "closed form needs integer alpha >= 0"
 SINGLE = "single integral needs integer alpha >= -1"
@@ -124,8 +137,20 @@ class TestRouteTable:
             "integral-prelim"]
 
     def test_declines(self):
-        got = {a: tuple(r.declines(a) for r in ROUTES) for a in DECLINES}
+        got = {a: tuple(r.declines(a, 10000) for r in ROUTES)
+               for a in DECLINES}
         assert got == DECLINES
+
+    @pytest.mark.parametrize("alpha,head", [(2.0, 200), (-30.5, 236),
+                                            (50.0, 408)])
+    def test_series_declines_below_its_head(self, alpha, head):
+        series = ROUTES[1]
+        assert series.declines(alpha, head) is None
+        assert series.declines(alpha, head - 1) == (
+            f"the series head is {head} terms, above max-terms {head - 1}")
+        others = [r.declines(alpha, 2) == r.declines(alpha, 10000)
+                  for r in ROUTES if r is not series]
+        assert all(others)
 
     def test_route_choices_come_from_the_table(self):
         ap = build_parser()
@@ -272,11 +297,17 @@ class TestNoApplicableRoute:
         assert "no route applies" in err
 
     def test_max_terms_threaded_through(self, capsys):
+        # --max-terms caps the series head of 200 terms
         code, out, _ = run(capsys, "eval", "--d", "0", "--route", "series",
                            "--max-terms", "500", "--format", "json")
         assert code == EXIT_PASS
         obj = json.loads(out)
-        assert obj["results"][0]["terms"] == 500
+        assert obj["results"][0]["terms"] == 200
+        code, out, err = run(capsys, "eval", "--d", "0", "--route", "series",
+                             "--max-terms", "150", "--format", "json")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "series head is 200 terms, above max-terms 150" in err
 
 
 class TestStirlingCommand:
@@ -404,7 +435,18 @@ class TestMaxTermsBound:
         ("crosscheck", "--grid-d", "1", "--grid-u", "1"),
     ])
     def test_smallest_is_evaluated(self, capsys, command):
-        code, out, _ = run(capsys, *command, "--max-terms", "2",
-                           "--format", "json")
+        # the series declines below its head; other routes still report
+        code, out, err = run(capsys, *command, "--max-terms", "2",
+                             "--format", "json")
+        reason = "the series head is 200 terms, above max-terms 2"
+        if command[0] == "eval":     # --route series: nothing else to run
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == f"error: route series inapplicable: {reason}\n"
+            return
         assert code in (EXIT_PASS, EXIT_NUMERIC_FAIL)
-        assert json.loads(out)["schema_version"] == 1
+        obj = json.loads(out)
+        assert obj["schema_version"] == 1
+        for cell in obj["cells"]:
+            assert {"route": "series", "reason": reason} in cell["skipped"]
+            assert "series" not in [r["route"] for r in cell["results"]]

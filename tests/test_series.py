@@ -19,9 +19,9 @@ from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              resummed_power_partial, log_tn, log_z_direct,
                              s_alpha_truncated)
 from zetaprod import series
-from zetaprod.series import (_GL_W, _GL_X, _halfline_nodes,
+from zetaprod.series import (_beta_tail, _halfline_nodes,
                              _inner_diff_quad_sweep, _inner_differences,
-                             _model_sum, log_tn_sweep)
+                             head_terms, log_tn_sweep)
 
 ALT = DifferenceMethod.ALTERNATING
 FRU = DifferenceMethod.FRULLANI
@@ -427,76 +427,58 @@ class TestLogZDirect:
         assert abs(a.value - b.value) < 1e-12
 
 
-def grid_model_sum(c, q, u, a1, A, B):
-    """The fitted tail model summed term by term, as the grid code did."""
-    m = np.arange(A, B + 1, dtype=float)
-    weight = 1.0 / (m ** u * (m + a1))
-    return c * float(np.sum(weight / np.maximum(np.log(m) + q, 0.3)))
+class TestExactTail:
+    """The tightened series: head_terms(alpha+1) explicit terms plus the
+    tail from log t_n(u) = int_0^inf B(u+v, n+1) dv."""
 
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.5, 10.0, 49.5])
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_tail_difference_is_the_explicit_block(self, alpha, u):
+        # tail after H terms - tail after 2H terms = terms H+1..2H
+        a1 = alpha + 1.0
+        H = head_terms(a1)
+        t_h, e_h = _beta_tail(u, a1, H + 1)
+        t_2h, e_2h = _beta_tail(u, a1, 2 * H + 1)
+        logt = log_tn_sweep(u, 2 * H)
+        block = math.fsum(logt[H + 1:] / (np.arange(H + 1, 2 * H + 1) + a1))
+        assert abs((t_h - t_2h) - block) <= e_h + e_2h
 
-def _mp_model_sum(c, q, u, a1, A, B):
-    """The same model summed by mpmath's Euler-Maclaurin at 30 digits, on
-    each side of the kink of the 0.3 floor, scaled by A^u to order 1."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        c, q, u, a1 = map(mpmath.mpf, (c, q, u, a1))
-        floor = mpmath.mpf("0.3")
+    def test_needs_no_closed_form_machinery(self, monkeypatch):
+        from zetaprod import closedform, hurwitz
 
-        def f(m):
-            return (A / m) ** u / (max(mpmath.log(m) + q, floor) * (m + a1))
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series route called the closed form")
 
-        kink = int(mpmath.ceil(mpmath.exp(floor - q)))
-        sides = [(A, min(B, kink - 1)), (max(A, kink), B)]
-        total = mpmath.fsum(mpmath.sumem(f, [a, b]) for a, b in sides if a <= b)
-        return c * total / mpmath.power(A, u)
+        for mod in (hurwitz, closedform):
+            for name, obj in vars(mod).items():
+                own = getattr(obj, "__module__", None) == mod.__name__
+                if own and callable(obj):
+                    monkeypatch.setattr(mod, name, refuse)
+        a = log_z_direct(EvalParams(2.0, 0.5), 10000, tightened=True)
+        assert math.isfinite(a.value) and a.terms_used == 200
 
+    @pytest.mark.parametrize("alpha,H", [(0.0, 200), (24.0, 200), (24.5, 204),
+                                         (-30.5, 236), (50.0, 408)])
+    def test_head_is_capped_by_N(self, alpha, H):
+        assert head_terms(alpha + 1.0) == H
+        p = EvalParams(alpha, 0.7)
+        a = log_z_direct(p, H, tightened=True)
+        assert a.terms_used == H
+        assert log_z_direct(p, 10 * H, tightened=True) == a
+        with pytest.raises(ValueError, match=f"series head is {H} terms"):
+            log_z_direct(p, H - 1, tightened=True)
 
-class TestTailModelSum:
-    """The fitted tail c / (max(log m + q, 0.3) m^u (m + a1)) over
-    m = A..B: 1024 explicit terms, then Euler-Maclaurin on each side of
-    the floor's kink."""
+    def test_alternating_method_declines(self):
+        with pytest.raises(ValueError, match="alternating_sum is limited"):
+            log_z_direct(EvalParams(0.0, 1.0), 10000, ALT, tightened=True)
 
-    def test_gauss_legendre_rule_rederived(self):
-        mpmath = pytest.importorskip("mpmath")
-        n = len(_GL_X)
-        with mpmath.workdps(40):
-            for x0, w0 in zip(_GL_X, _GL_W):
-                x = mpmath.mpf(float(x0))
-                for _ in range(3):
-                    p_prev, p = mpmath.mpf(1), x
-                    for k in range(2, n + 1):
-                        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-                    dp = n * (x * p - p_prev) / (x * x - 1)
-                    x -= p / dp
-                assert float(x) == x0
-                assert float(2 / ((1 - x * x) * dp * dp)) == w0
-
-    @pytest.mark.parametrize("c,q,u,a1,A,B", [
-        (1.0, -9.5, 0.05, 1.0, 10**4 + 1, 2 * 10**5),   # kink inside
-        (1.0, -9.5, 0.5, 1.0, 10**4 + 1, 2 * 10**5),
-        (2.0, 0.5, 0.5, 3.0, 1025, 2000),                # head only
-        (0.7, 1.0, 0.05, 11.0, 55, 1080),                # head + 2 terms
-        (1.0, 3.0, 10.0, 1.5, 10**4 + 1, 2 * 10**5),     # large u
-        (1.0, -6.0, 10.0, -0.5, 1001, 2 * 10**4),        # large u, a1 < 0
-        # the kink at m = 1079, where the head ends
-        (1.0, 0.3 - math.log(1079), 0.05, 0.5, 55, 1080),
-    ])
-    def test_against_30_digits(self, c, q, u, a1, A, B):
-        want = _mp_model_sum(c, q, u, a1, A, B)
-        got = _model_sum(c, q, u, a1, A, B)
-        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
-
-    @pytest.mark.parametrize("alpha,u,N", [
-        (0.5, 0.05, 10000), (2.0, 1.0, 2000), (-1.5, 0.25, 100),
-        (8.0, 10.0, 10000), (0.0, 0.5, 60), (10.0, 2.0, 2000)])
-    def test_log_z_direct_matches_the_grid_sum(self, monkeypatch, alpha, u, N):
-        p = EvalParams(alpha, u)
-        got = log_z_direct(p, N, tightened=True)
-        monkeypatch.setattr(series, "_model_sum", grid_model_sum)
-        want = log_z_direct(p, N, tightened=True)
-        assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
-        assert abs(got.err_est - want.err_est) <= 1e-12 * want.err_est
-        assert got.terms_used == want.terms_used
+    @pytest.mark.parametrize("u", [0.05, 0.1, 0.5])
+    def test_small_u_within_err_est(self, u):
+        # log z_0(u) = log u - digamma(u)
+        ref = math.log(u) - digamma(u)
+        a = log_z_direct(EvalParams(0.0, u), 10000, tightened=True)
+        assert abs(a.value - ref) <= a.err_est
+        assert a.err_est < 1e-12
 
 
 class TestResummedPowerSum:
