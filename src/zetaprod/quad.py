@@ -5,6 +5,10 @@ on (0, 1), refined by halving the step until two levels agree.  One
 refinement loop serves every integral here: it sums one integrand (node
 values of shape (n,)) or a batch of m integrands on shared nodes (shape
 (m, n)), as the nested passes of the double and preliminary routes do.
+Levels 0-3, which every pass sums before its first stop test, are one
+evaluation of the integrand on their concatenated nodes; from level 4 on,
+each level is one evaluation.  The double integral's outer pass still runs
+one inner pass per outer level (see integrate_double).
 Each level's nodes are cached with their distance to the nearest endpoint
 and the complements 1-x and log x, all computed without cancellation, so
 endpoint-singular factors such as x^(u-1) or (1-x)^(-d) stay stable at node
@@ -96,14 +100,20 @@ DEFAULT_QUAD = QuadConfig()
 _TAU_MAX = 6.2          # node distances bottom out near exp(-2*(pi/2)*sinh)
 _MIN_DELTA = 1e-290     # keep exponentials like delta^(-0.95) finite
 
+# The first level the stop test reads.  Every pass evaluates levels 0 to
+# this one, so they are summed from one call of the integrand.
+_FIRST_STOP = 3
+
 
 class _Nodes(NamedTuple):
-    """The nodes new at one level, with step h and weights w.
+    """Tanh-sinh nodes with their weights w and the step h of their level.
 
     delta is the distance to the nearest endpoint (x on the left half, 1-x
     on the right half), logd = log(delta), and right marks the right half.
     eps = 1-x and log_x = log(x) are assembled from delta and logd, so
-    neither cancels at either endpoint.
+    neither cancels at either endpoint.  A level's table holds the nodes new
+    at that level; a block of levels 0..top holds theirs in level order, so
+    h changes where a level starts.
     """
 
     x: np.ndarray
@@ -113,54 +123,107 @@ class _Nodes(NamedTuple):
     right: np.ndarray
     eps: np.ndarray
     log_x: np.ndarray
-    h: float
+    h: np.ndarray
 
 
-_node_cache: dict[int, _Nodes] = {}
-_node_lock = threading.Lock()
+class _Block(NamedTuple):
+    """Levels 0..top as one node set; starts[j] is where level j begins."""
+
+    nodes: _Nodes
+    starts: np.ndarray
+
+
+_node_cache: dict = {}
+_node_lock = threading.RLock()      # a block's build takes its levels' tables
+
+
+def _cached(key, build):
+    """The table under key, built once; the lock is taken only to build.
+
+    A dict get is atomic, and a table enters the dict complete and
+    read-only, so every pass reads it without the lock.
+    """
+    table = _node_cache.get(key)
+    if table is None:
+        with _node_lock:
+            table = _node_cache.get(key)
+            if table is None:
+                table = _node_cache[key] = build()
+    return table
+
+
+def _read_only(arrays: list) -> list:
+    for arr in arrays:          # shared by every caller and thread
+        arr.flags.writeable = False
+    return arrays
 
 
 def _level_nodes(level: int) -> _Nodes:
-    with _node_lock:
-        cached = _node_cache.get(level)
-        if cached is not None:
-            return cached
-        h = 2.0 ** -level
-        kmax = int(_TAU_MAX / h)
-        ks = np.arange(-kmax, kmax + 1)
-        if level > 0:
-            ks = ks[ks % 2 != 0]
-        tau = ks * h
-        z = 0.5 * math.pi * np.sinh(tau)
-        two_z = 2.0 * np.abs(z)
-        e2 = np.exp(-two_z)
-        delta = e2 / (1.0 + e2)
-        logd = -two_z - np.log1p(e2)
-        # dx/dtau = (pi/4) cosh(tau) / cosh^2(z), written via e^{-2|z|}
-        w = math.pi * np.cosh(tau) * e2 / (1.0 + e2) ** 2
-        x = np.where(tau >= 0, 1.0 - delta, delta)
-        keep = (w > 0) & (delta > _MIN_DELTA)
-        x, delta, logd, w = x[keep], delta[keep], logd[keep], w[keep]
-        right = x > 0.5
-        eps = np.where(right, delta, 1.0 - x)
-        log_x = np.where(right, np.log1p(-delta * right), logd)
-        out = _Nodes(x, delta, logd, w, right, eps, log_x, h)
-        for arr in out[:-1]:        # shared by every caller and thread
-            arr.flags.writeable = False
-        _node_cache[level] = out
-        return out
+    return _cached(level, lambda: _build_level(level))
+
+
+def _block_nodes(top: int) -> _Block:
+    return _cached(("block", top), lambda: _build_block(top))
+
+
+def _build_level(level: int) -> _Nodes:
+    h = 2.0 ** -level
+    kmax = int(_TAU_MAX / h)
+    ks = np.arange(-kmax, kmax + 1)
+    if level > 0:
+        ks = ks[ks % 2 != 0]
+    tau = ks * h
+    z = 0.5 * math.pi * np.sinh(tau)
+    two_z = 2.0 * np.abs(z)
+    e2 = np.exp(-two_z)
+    delta = e2 / (1.0 + e2)
+    logd = -two_z - np.log1p(e2)
+    # dx/dtau = (pi/4) cosh(tau) / cosh^2(z), written via e^{-2|z|}
+    w = math.pi * np.cosh(tau) * e2 / (1.0 + e2) ** 2
+    x = np.where(tau >= 0, 1.0 - delta, delta)
+    keep = (w > 0) & (delta > _MIN_DELTA)
+    x, delta, logd, w = x[keep], delta[keep], logd[keep], w[keep]
+    right = x > 0.5
+    eps = np.where(right, delta, 1.0 - x)
+    log_x = np.where(right, np.log1p(-delta * right), logd)
+    return _Nodes(*_read_only([x, delta, logd, w, right, eps, log_x,
+                               np.full(len(x), h)]))
+
+
+def _build_block(top: int) -> _Block:
+    levels = [_level_nodes(level) for level in range(top + 1)]
+    nodes = _Nodes(*_read_only([np.concatenate(col) for col in zip(*levels)]))
+    starts = np.cumsum([0] + [len(n.x) for n in levels[:-1]])
+    return _Block(nodes, *_read_only([starts]))
+
+
+def _split_levels(nodes: _Nodes) -> list[_Nodes]:
+    """A node set cut into runs of one level each (one run for a level)."""
+    cuts = np.flatnonzero(np.diff(nodes.h)) + 1
+    return [_Nodes(*(arr[a:b] for arr in nodes))
+            for a, b in zip([0, *cuts], [*cuts, len(nodes.h)])]
 
 
 def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     """Sum f over the tanh-sinh levels, halving the step until they agree.
 
-    f(nodes) gives the integrand at a level's new nodes: shape (n,) for one
+    f(nodes) gives the integrand at a set of nodes: shape (n,) for one
     integrand, (m, n) for a batch, so the value has shape () or (m,).  From
-    level 3 on, refinement stops once max(|change| * weight) <= tol; weight
-    is a scalar or one factor per batch row.  Returns (value, change,
-    nodes_used).  Raises QuadratureNonConvergence when level_max is
-    exhausted, with the partial value of one integrand; a batch reports nan,
-    since its rows are pieces of an outer integrand and estimate nothing.
+    level 3 (_FIRST_STOP) on, refinement stops once max(|change| * weight)
+    <= tol; weight is a scalar or one factor per batch row.  Returns
+    (value, change, nodes_used).  Raises QuadratureNonConvergence when
+    level_max is exhausted, with the partial value of one integrand; a
+    batch reports nan, since its rows are pieces of an outer integrand and
+    estimate nothing.
+
+    Levels 0..min(3, level_max), which every pass sums before its first
+    stop test, are one call of f on their concatenated nodes, each node
+    carrying the step h of its own level.  A reduceat sums each level's run
+    of nodes and a cumsum forms the running sums, so every test below sees
+    the level sums of a level-by-level pass, and no node above level_max is
+    evaluated.  (A zero-padded (n, levels) weight matrix would not do: an
+    inf at a level-3 node would make 0 * inf = nan in the sums of levels
+    0-2.)  From level 4 on, each level is its own call.
 
     The pass also stops at the first level whose running sum holds an inf
     or nan (the deep nodes of a small-u double integral overflow exp):
@@ -168,23 +231,30 @@ def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     the deeper levels could not alter the outcome.  That raise reports the
     level reached, with value and err_est nan.
 
-    Each level sum is an einsum, numpy's own loop in the calling thread.
-    As a BLAS product it would start OpenBLAS's worker threads, which keep
-    spinning on the other cores between calls; a deep level's row alone is
-    past the size OpenBLAS keeps in the calling thread.
+    Each level sum is numpy's own loop in the calling thread (an einsum, or
+    a product and a reduceat for the block).  As a BLAS product it would
+    start OpenBLAS's worker threads, which keep spinning on the other cores
+    between calls; a deep level's row alone is past the size OpenBLAS keeps
+    in the calling thread.
     """
-    S = 0.0
+    top = min(_FIRST_STOP, cfg.level_max)
+    block, starts = _block_nodes(top)
+    running = np.cumsum(np.add.reduceat(f(block) * block.w, starts, axis=-1),
+                        axis=-1)
+    nodes_used = len(block.x)
     change = math.inf
-    nodes_used = 0
     for level in range(cfg.level_max + 1):
-        nodes = _level_nodes(level)
-        S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
-        nodes_used += len(nodes.x)
-        value = nodes.h * S
+        if level <= top:
+            S = running[..., level]
+        else:
+            nodes = _level_nodes(level)
+            S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
+            nodes_used += len(nodes.x)
+        value = 2.0 ** -level * S
         if not np.all(np.isfinite(S)):
             raise QuadratureNonConvergence(math.nan, math.nan, level,
                                            non_finite=True)
-        if level >= 3:
+        if level >= _FIRST_STOP:
             change = float(np.max(np.abs(value - prev) * weight))
             if change <= tol:
                 return value, change, nodes_used
@@ -318,7 +388,11 @@ def integrate_double(alpha: float, u: float,
     Iterated tanh-sinh: the inner (q) quadrature runs once per outer level,
     vectorized across that level's new outer (p) nodes, and its convergence
     is measured in the outer-weighted norm so that deep, negligible-weight
-    outer nodes cannot stall refinement.
+    outer nodes cannot stall refinement.  The outer block of levels 0-3 is
+    one outer call but still four inner passes: an inner pass refines until
+    its slowest row converges, and one pass over all four levels' rows would
+    carry the extreme level-0 outer nodes to inner depths where (pq)^(u-1)
+    overflows.
     """
     if not alpha > -1:
         raise ValueError("integrate_double: requires alpha > -1")
@@ -326,7 +400,7 @@ def integrate_double(alpha: float, u: float,
         raise ValueError("integrate_double: u must be > 0")
     inner_tol = cfg.abs_tol / 10.0
 
-    def outer(p):
+    def inner_pass(p):
         eps_p = p.eps[:, None]
         log_p = p.log_x[:, None]
         log_eps_p = np.log(p.eps)[:, None]
@@ -341,6 +415,9 @@ def integrate_double(alpha: float, u: float,
         # the non-finite guard stays off here: at small u the deep nodes
         # overflow to inf, and that must end in QuadratureNonConvergence
         return _refine(inner, cfg, inner_tol, p.w * p.h)[0]
+
+    def outer(p):
+        return np.concatenate([inner_pass(part) for part in _split_levels(p)])
 
     value, err, nodes_used = _integrate(outer, cfg)
     return Approximation(value, err, nodes_used)

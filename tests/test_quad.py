@@ -6,9 +6,9 @@ import pytest
 from zetaprod.closedform import log_z_closed
 from zetaprod.hurwitz import euler_gamma, log_bendersky
 from zetaprod.quad import (QuadConfig, QuadratureNonConvergence,
-                           _level_nodes, _refine, integrate_double,
-                           integrate_elementary_half, integrate_prelim,
-                           integrate_single_d, tanh_sinh_01)
+                           _block_nodes, _level_nodes, _refine,
+                           integrate_double, integrate_elementary_half,
+                           integrate_prelim, integrate_single_d, tanh_sinh_01)
 from zetaprod.series import EvalParams, log_z_direct
 from zetaprod.series import log_tn_sweep
 
@@ -61,22 +61,26 @@ class TestEngine:
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_non_finite_sum_stops_at_its_level(self, k):
-        # one row turns inf at level k; no later level could converge, so
-        # the pass stops there instead of summing out to level_max
+        # one row turns inf at a node of level k; no later level could
+        # converge, so the pass stops there instead of summing out to
+        # level_max.  Levels 0-3 are one call of f, so the inf goes to the
+        # first node whose step h is that of level k
         cfg = QuadConfig(abs_tol=1e-14)
         freqs = np.array([50.0, 60.0])[:, None]
-        levels = []
+        calls = []
 
         def f(n):
-            levels.append(n.h)
+            calls.append(n.h)
             rows = np.cos(freqs * n.x)
-            if len(levels) > k:
-                rows[1, 0] = np.inf
+            at_k = np.flatnonzero(n.h == 2.0 ** -k)
+            if len(at_k):
+                rows[1, at_k[0]] = np.inf
             return rows
 
         with pytest.raises(QuadratureNonConvergence) as exc:
             _refine(f, cfg, cfg.abs_tol)
-        assert len(levels) == k + 1
+        # no evaluation after level k: the block, then levels 4..k
+        assert len(calls) == (1 if k <= 3 else k - 2)
         assert exc.value.level == k
         assert math.isnan(exc.value.value) and math.isnan(exc.value.err_est)
         assert f"non-finite at level {k} (partial value nan" in str(exc.value)
@@ -121,6 +125,108 @@ class TestEngine:
             exact = 1.0 / (k + 1)
             assert abs(batch[k] - value) <= 4 * np.spacing(exact)
             assert abs(batch[k] - exact) <= 4 * np.spacing(exact)
+
+
+def _level_by_level(f, cfg, tol, weight=1.0):
+    """Reference pass: one call of f per level, each level's new nodes only."""
+    S = 0.0
+    change = math.inf
+    nodes_used = 0
+    for level in range(cfg.level_max + 1):
+        nodes = _level_nodes(level)
+        S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
+        nodes_used += len(nodes.x)
+        value = 2.0 ** -level * S
+        if not np.all(np.isfinite(S)):
+            raise QuadratureNonConvergence(math.nan, math.nan, level,
+                                           non_finite=True)
+        if level >= 3:
+            change = float(np.max(np.abs(value - prev) * weight))
+            if change <= tol:
+                return value, change, nodes_used
+        prev = value
+    partial = math.nan if np.ndim(value) else float(value)
+    raise QuadratureNonConvergence(partial, change, cfg.level_max)
+
+
+def _close(a, b):
+    # a few ulps of the integrands' magnitude, which is about 1 here; the
+    # level sums of the block and of the reference may round apart
+    return bool(np.all(np.abs(np.asarray(a) - b)
+                       <= 4 * np.spacing(np.maximum(1.0, np.abs(b)))))
+
+
+class TestBlock:
+    """Levels 0-3 as one call of f against the level-by-level pass."""
+
+    @staticmethod
+    def _peaked(n):
+        # 1/(1+100 x^2) needs levels 4 and 5 at the default abs_tol
+        return 1.0 / (1.0 + 100.0 * n.x ** 2)
+
+    def test_single_integrand(self):
+        cfg = QuadConfig()
+        value, _, nodes = _refine(self._peaked, cfg, cfg.abs_tol)
+        ref, _, ref_nodes = _level_by_level(self._peaked, cfg, cfg.abs_tol)
+        assert nodes == ref_nodes > len(_block_nodes(3).nodes.x)
+        assert _close(value, ref)
+        assert _close(value, math.atan(10.0) / 10.0)
+
+    def test_weighted_batch(self):
+        cfg = QuadConfig()
+        weight = np.array([1.0, 1e-3, 1e3])
+
+        def f(n):
+            return np.stack([self._peaked(n), np.cos(10.0 * n.x),
+                             np.exp(-0.5 * n.log_x) * np.log(n.eps)])
+
+        value, _, nodes = _refine(f, cfg, cfg.abs_tol, weight)
+        ref, _, ref_nodes = _level_by_level(f, cfg, cfg.abs_tol, weight)
+        assert nodes == ref_nodes
+        assert _close(value, ref)
+
+    @pytest.mark.parametrize("level_max", [1, 2, 3])
+    @pytest.mark.parametrize("g", [lambda x: x * x, lambda x: np.cos(50.0 * x)],
+                             ids=["x^2", "cos(50x)"])
+    def test_low_level_max(self, level_max, g):
+        # the block stops at level_max: the same raise or value as the
+        # level-by-level pass, and no node of a deeper level is evaluated
+        cfg = QuadConfig(level_max=level_max, abs_tol=1e-10)
+        steps = []
+
+        def f(n):
+            steps.append(np.min(n.h))
+            return g(n.x)
+
+        try:
+            ref = _level_by_level(f, cfg, cfg.abs_tol)
+        except QuadratureNonConvergence as exc:
+            ref = exc
+        steps.clear()
+        if isinstance(ref, QuadratureNonConvergence):
+            with pytest.raises(QuadratureNonConvergence) as exc:
+                _refine(f, cfg, cfg.abs_tol)
+            assert exc.value.level == ref.level == level_max
+            assert _close(exc.value.value, ref.value)
+            assert (exc.value.err_est == ref.err_est == math.inf
+                    if level_max < 3 else _close(exc.value.err_est,
+                                                 ref.err_est))
+        else:
+            value, _, nodes = _refine(f, cfg, cfg.abs_tol)
+            assert nodes == ref[2]
+            assert _close(value, ref[0])
+        assert steps == [2.0 ** -level_max]
+
+    @pytest.mark.parametrize("top", [1, 2, 3])
+    def test_block_tables_are_read_only(self, top):
+        nodes, starts = _block_nodes(top)
+        for arr in (*nodes, starts):
+            assert not arr.flags.writeable
+        # each node carries its own level's step
+        for level, start in enumerate(starts):
+            assert nodes.h[start] == 2.0 ** -level
+            assert np.array_equal(nodes.x[start:start + len(
+                _level_nodes(level).x)], _level_nodes(level).x)
 
 
 class TestSingleD:
@@ -184,6 +290,15 @@ class TestDouble:
             integrate_double(-1.0, 1.0)
         with pytest.raises(ValueError):
             integrate_double(1.0, -2.0)
+
+    def test_outer_block_keeps_one_inner_pass_per_level(self):
+        # one inner pass over all four outer levels' rows would refine the
+        # extreme level-0 rows until (pq)^(u-1) overflows, and fail here
+        alpha, u = 2.4234451881690724, 0.45046872250034004
+        d = integrate_double(alpha, u)
+        p = integrate_prelim(alpha, u)
+        assert d.terms_used == 97
+        assert abs(d.value - p.value) <= d.err_est + p.err_est
 
     def test_small_u_is_never_a_domain_error(self):
         # at small u the inner pass overflows to inf at deep nodes; that is a
