@@ -14,12 +14,9 @@ has (the CLI's route table) and prints them side by side.
 import math
 
 from zetaprod.hurwitz import euler_gamma, hurwitz_zeta, log_bendersky
-from zetaprod.quad import QuadConfig
 from zetaprod.cli import ROUTES
 
 LOG_2PI = math.log(2.0 * math.pi)
-MAX_TERMS = 10000
-QCFG = QuadConfig()
 
 references = {
     -1: ("log e", 1.0),
@@ -33,9 +30,9 @@ references = {
 
 
 def cell(route, alpha: float) -> str:
-    if route.declines(alpha, MAX_TERMS) is not None:
+    if route.declines(alpha) is not None:
         return f"{'(declines)':>17}"
-    return f"{route.evaluate(alpha, 1.0, MAX_TERMS, QCFG).value:>17.14f}"
+    return f"{route.evaluate(alpha, 1.0).value:>17.14f}"
 
 
 print(f"{'d':>3}" + "".join(f"{r.name:>17}" for r in ROUTES)

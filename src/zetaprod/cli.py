@@ -9,8 +9,9 @@ Subcommands:
   stirling    shifted r-Stirling row entries at shift 1-u (exact or float)
   zeta        Hurwitz zeta values and s-derivatives
 
-Exit codes: 0 = pass, 1 = numeric verdict failure, 2 = usage or domain
-error, 3 = I/O error (golden file missing or corrupt).
+Exit codes: 0 = pass, 1 = numeric verdict failure, quadrature
+non-convergence or float overflow, 2 = usage or domain error, 3 = I/O
+error (golden file missing or corrupt).
 
 JSON output is schema-versioned (schema_version = 1), byte-deterministic
 (no timestamps or timings in JSON; wall times appear only in plain output),
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple
 from .closedform import D_MAX, log_z_closed
 from .hurwitz import (agm, euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv,
                       log_bendersky)
-from .quad import (QuadConfig, QuadratureNonConvergence, integrate_double,
+from .quad import (QuadratureNonConvergence, integrate_double,
                    integrate_prelim, integrate_single_d)
 from .rstirling import row_by_gf
 from .series import (Approximation, DifferenceMethod, EvalParams, head_terms,
@@ -54,7 +55,6 @@ __all__ = [
     "ROUTES",
     "ROUTE_CHOICES",
     "ALPHA_MAX",
-    "MAX_TERMS",
     "derive_constants",
     "golden_path",
 ]
@@ -69,16 +69,11 @@ SCHEMA_VERSION = 1
 # Largest |alpha| (and |d| of a crosscheck grid) the CLI accepts.
 ALPHA_MAX = D_MAX
 
-# Largest --max-terms eval and crosscheck accept, as input validation: the
-# flag caps the series head (series.head_terms, 200 to 408 terms in the
-# alpha range), so no value past that head changes the work or the value.
-MAX_TERMS = 10 ** 6
-
 
 class Route(NamedTuple):
     name: str
-    declines: Callable[[float, int], str | None]
-    evaluate: Callable[[float, float, int, QuadConfig], Approximation]
+    declines: Callable[[float], str | None]
+    evaluate: Callable[[float, float], Approximation]
 
 
 def _is_int(alpha: float) -> bool:
@@ -90,38 +85,32 @@ def _excluded(alpha: float) -> str | None:
             if _is_int(alpha) and alpha <= -2 else None)
 
 
-def _series_head(alpha: float, max_terms: int) -> str | None:
-    head = head_terms(alpha + 1.0)
-    return (f"the series head is {head} terms, above max-terms {max_terms}"
-            if max_terms < head else None)
-
-
-# Every route in report order.  declines(alpha, max_terms) is the reason a
-# route does not apply, or None.  evaluate(alpha, u, max_terms, qcfg) looks
-# up its module-level route function when called, so a name patched at run
-# time is seen.  Integrand index d gives log z_{d-1}: integrals take
-# alpha + 1.
+# Every route in report order.  declines(alpha) is the reason a route does
+# not apply, or None.  evaluate(alpha, u) looks up its module-level route
+# function when called, so a name patched at run time is seen.  The series
+# runs its whole head (head_terms), the integrals their default QuadConfig.
+# Integrand index d gives log z_{d-1}: integrals take alpha + 1.
 ROUTES = (
     Route("closed",
-          lambda a, n: None if _is_int(a) and a >= 0
+          lambda a: None if _is_int(a) and a >= 0
           else "closed form needs integer alpha >= 0",
-          lambda a, u, n, q: log_z_closed(int(a), u)),
-    Route("series", lambda a, n: _excluded(a) or _series_head(a, n),
-          lambda a, u, n, q: log_z_direct(
-              EvalParams(a, u), n, DifferenceMethod.FRULLANI, tightened=True)),
+          lambda a, u: log_z_closed(int(a), u)),
+    Route("series", _excluded,
+          lambda a, u: log_z_direct(EvalParams(a, u), head_terms(a + 1.0),
+                                    DifferenceMethod.FRULLANI, tightened=True)),
     Route("integral-single",
-          lambda a, n: _excluded(a) or (
+          lambda a: _excluded(a) or (
               None if _is_int(a) and a >= -1
               else "single integral needs integer alpha >= -1"),
-          lambda a, u, n, q: integrate_single_d(int(a) + 1, u, q)),
+          lambda a, u: integrate_single_d(int(a) + 1, u)),
     Route("integral-double",
-          lambda a, n: _excluded(a) or (
+          lambda a: _excluded(a) or (
               None if a > -2 else "double integral needs alpha > -2"),
-          lambda a, u, n, q: integrate_double(a + 1.0, u, q)),
+          lambda a, u: integrate_double(a + 1.0, u)),
     Route("integral-prelim",
-          lambda a, n: _excluded(a) or (
+          lambda a: _excluded(a) or (
               None if a > -2 else "preliminary integral needs alpha > -2"),
-          lambda a, u, n, q: integrate_prelim(a + 1.0, u, q)),
+          lambda a, u: integrate_prelim(a + 1.0, u)),
 )
 
 ROUTE_CHOICES = tuple(r.name for r in ROUTES) + ("all",)
@@ -339,16 +328,13 @@ GOLDEN_TOL = 1e-12
 # eval plumbing
 # --------------------------------------------------------------------------
 
-def _run_eval(alpha: float, u: float, route: str, tol: float,
-              max_terms: int) -> EvalReport:
+def _run_eval(alpha: float, u: float, route: str, tol: float) -> EvalReport:
     report = EvalReport(request={
-        "command": "eval", "alpha": alpha, "u": u, "route": route,
-        "tol": tol, "max_terms": max_terms,
+        "command": "eval", "alpha": alpha, "u": u, "route": route, "tol": tol,
     })
-    qcfg = QuadConfig()
     wanted = [r for r in ROUTES if route in ("all", r.name)]
     for r in wanted:
-        why = r.declines(alpha, max_terms)
+        why = r.declines(alpha)
         if why is not None:
             if route != "all":
                 raise ValueError(f"route {r.name} inapplicable: {why}")
@@ -356,8 +342,8 @@ def _run_eval(alpha: float, u: float, route: str, tol: float,
             continue
         t0 = time.perf_counter()
         try:
-            approx = r.evaluate(alpha, u, max_terms, qcfg)
-        except QuadratureNonConvergence as exc:
+            approx = r.evaluate(alpha, u)
+        except (QuadratureNonConvergence, ValueError, OverflowError) as exc:
             # a crosscheck runs many routes and cells: say which one failed
             exc.args = (f"{r.name} at alpha={alpha}, u={u}: {exc}",)
             raise
@@ -369,11 +355,6 @@ def _run_eval(alpha: float, u: float, route: str, tol: float,
                          + "; ".join(f"{r}: {why}" for r, why in report.skipped))
     report.finish(tol)
     return report
-
-
-def _check_max_terms(max_terms: int) -> None:
-    if not 2 <= max_terms <= MAX_TERMS:
-        raise ValueError(f"max-terms must satisfy 2 <= max-terms <= {MAX_TERMS}")
 
 
 def _render_eval_plain(report: EvalReport, out) -> None:
@@ -412,8 +393,7 @@ def cmd_eval(args, out) -> int:
         raise ValueError("u must be finite")
     if not args.tol > 0:
         raise ValueError("tol must be > 0")
-    _check_max_terms(args.max_terms)
-    report = _run_eval(alpha, args.u, args.route, args.tol, args.max_terms)
+    report = _run_eval(alpha, args.u, args.route, args.tol)
     if args.format == "json":
         out.write(_dump_json(report.to_json_obj()))
     elif args.format == "csv":
@@ -503,10 +483,8 @@ def cmd_crosscheck(args, out) -> int:
     us = _parse_grid_u(args.grid_u)
     if not args.tol > 0:
         raise ValueError("tol must be > 0")
-    _check_max_terms(args.max_terms)
     cells = [(d, u) for d in ds for u in us]
-    reports = [_run_eval(float(d), u, "all", args.tol, args.max_terms)
-               for (d, u) in cells]
+    reports = [_run_eval(float(d), u, "all", args.tol) for (d, u) in cells]
     failures = sum(r.verdict != "pass" for r in reports)
     if args.format == "json":
         obj = {
@@ -540,10 +518,13 @@ def cmd_crosscheck(args, out) -> int:
 
 def _parse_exact(text: str) -> Fraction:
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(text)  # exact decimal-string parse
+    try:
+        if "/" in text:
+            num, den = text.split("/")
+            return Fraction(int(num), int(den))
+        return Fraction(text)  # exact decimal-string parse
+    except ZeroDivisionError:
+        raise ValueError(f"u = {text} has a zero denominator") from None
 
 
 def cmd_stirling(args, out) -> int:
@@ -559,8 +540,11 @@ def cmd_stirling(args, out) -> int:
         u = float(_parse_exact(args.u)) if ("/" in args.u) else float(args.u)
         if not math.isfinite(u):
             raise ValueError("u must be finite")
-        row = row_by_gf(args.n, 1.0 - u)
-        print(repr(row.coeffs[args.k]), file=out)
+        entry = row_by_gf(args.n, 1.0 - u).coeffs[args.k]
+        if not math.isfinite(entry):
+            raise OverflowError(f"the float row entry is {entry!r}; "
+                                "--exact gives it as p/q")
+        print(repr(entry), file=out)
     return EXIT_PASS
 
 
@@ -604,7 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tol", type=float, default=1e-6,
                     help="pairwise deviation tolerance; a pair passes when "
                          "|diff| <= max(tol, combined err_est)")
-    pe.add_argument("--max-terms", type=int, default=10000)
     pe.add_argument("--format", choices=("plain", "json", "csv"),
                     default="plain")
     pe.set_defaults(fn=cmd_eval)
@@ -621,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--grid-d", default="0..5")
     px.add_argument("--grid-u", default="0.5,1,2")
     px.add_argument("--tol", type=float, default=1e-6)
-    px.add_argument("--max-terms", type=int, default=10000)
     px.add_argument("--format", choices=("plain", "json", "csv"),
                     default="plain")
     px.set_defaults(fn=cmd_crosscheck)
@@ -659,7 +641,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except QuadratureNonConvergence as exc:
+    except (QuadratureNonConvergence, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAIL
     except ValueError as exc:

@@ -14,11 +14,9 @@ import pytest
 pytest.importorskip("mpmath")
 
 from zetaprod.cli import ROUTES  # noqa: E402
-from zetaprod.quad import QuadConfig  # noqa: E402
 
 GRID_D = range(-1, 11)
 GRID_U = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
-MAX_TERMS = 10 ** 4
 
 
 def _load_oracle():
@@ -41,10 +39,10 @@ def reference():
 def test_grid_has_no_failure_and_no_under_report(reference, route):
     failures, under, worst_rel = [], [], 0.0
     for (d, u), ref in reference.items():
-        if route.declines(float(d), MAX_TERMS) is not None:
+        if route.declines(float(d)) is not None:
             continue
         try:
-            a = route.evaluate(float(d), u, MAX_TERMS, QuadConfig())
+            a = route.evaluate(float(d), u)
         except Exception as exc:  # a failure is counted, not raised
             failures.append((d, u, repr(exc)))
             continue
