@@ -88,7 +88,7 @@ def _excluded(alpha: float) -> str | None:
 # Every route in report order.  declines(alpha) is the reason a route does
 # not apply, or None.  evaluate(alpha, u) looks up its module-level route
 # function when called, so a name patched at run time is seen.  The series
-# runs its whole head (head_terms), the integrals their default QuadConfig.
+# runs its whole head (head_terms), the integrals on quad.DEFAULT_QUAD.
 # Integrand index d gives log z_{d-1}: integrals take alpha + 1.
 ROUTES = (
     Route("closed",
