@@ -5,13 +5,14 @@ The zeta evaluator uses Euler-Maclaurin summation:
     zeta(s,u) ~ sum_{k<N} (k+u)^-s  +  (N+u)^(1-s)/(s-1)  +  (N+u)^-s / 2
                 + sum_{j=1..J} B_{2j}/(2j)! * (s)_{2j-1} * (N+u)^(-s-2j+1)
 
-with (s)_m the rising factorial.  The s-derivative is the term-by-term
-analytic derivative of the same formula; rising factorials and their
-derivatives are tracked with explicit handling of zero factors so negative
-integer s (where the value series terminates but the derivative series does
-not) is evaluated without 0/0.
+with (s)_m the rising factorial, a head of N = 40 terms and at most J = 12
+corrections.  The s-derivative is the term-by-term analytic derivative of
+the same formula; rising factorials and their derivatives are tracked with
+explicit handling of zero factors so negative integer s (where the value
+series terminates but the derivative series does not) is evaluated without
+0/0.
 
-For s < -1/2 the head length is chosen adaptively: a long head makes the
+For s < -1/2 the head length is chosen adaptively, at most N: a long head makes the
 head/boundary cancellation swamp double precision, while a short head keeps
 rounding small and the (terminating or asymptotically truncated) correction
 series accurate.  err_est combines the first omitted/last kept correction
@@ -33,7 +34,6 @@ from typing import Optional
 from .exactnum import bernoulli_number, harmonic
 
 __all__ = [
-    "EMConfig",
     "ZetaValue",
     "hurwitz_zeta",
     "hurwitz_zeta_deriv",
@@ -47,22 +47,10 @@ __all__ = [
 _EPS = 2.0 ** -52
 
 
-@dataclass(frozen=True)
-class EMConfig:
-    """Euler-Maclaurin tuning: head length N and correction count J."""
-
-    N: int = 40
-    J: int = 12
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("EMConfig: N must be >= 1")
-        if not 1 <= self.J <= 30:
-            raise ValueError("EMConfig: J must be in 1..30 "
-                             "(Bernoulli growth defeats double precision beyond)")
-
-
-DEFAULT_EM = EMConfig()
+# Euler-Maclaurin head length (the longest head tried) and correction
+# count; read at call time.
+_EM_N = 40
+_EM_J = 12
 
 
 @dataclass(frozen=True)
@@ -163,43 +151,44 @@ def _em_eval(s: float, u: float, N: int, J: int, want_deriv: bool):
     return value, deriv, err
 
 
-def _candidate_heads(s: float, cfg: EMConfig) -> list[int]:
+def _candidate_heads(s: float) -> list[int]:
+    N = _EM_N
     if s >= -0.5:
-        return [cfg.N]
+        return [N]
     # Small heads keep the head/boundary cancellation within double
     # precision for strongly negative s; try a few and keep the best.
-    base = max(2, math.ceil((2 * cfg.J + abs(s)) / (2 * math.pi)))
-    cands = sorted({2, 3, max(2, base // 2), base, min(cfg.N, 2 * base), cfg.N})
-    return [c for c in cands if c <= cfg.N] or [cfg.N]
+    base = max(2, math.ceil((2 * _EM_J + abs(s)) / (2 * math.pi)))
+    cands = sorted({2, 3, max(2, base // 2), base, min(N, 2 * base), N})
+    return [c for c in cands if c <= N] or [N]
 
 
-def _zeta_em(s: float, u: float, cfg: EMConfig, want_deriv: bool):
+def _zeta_em(s: float, u: float, want_deriv: bool):
     if u <= 0.0:
         raise ValueError("hurwitz zeta: u must be > 0")
     if s == 1.0:
         raise ValueError("hurwitz zeta: s = 1 is the pole; use digamma for "
                          "the regularized combination")
     best = None
-    for N in _candidate_heads(s, cfg):
-        res = _em_eval(s, u, N, cfg.J, want_deriv)
+    for N in _candidate_heads(s):
+        res = _em_eval(s, u, N, _EM_J, want_deriv)
         if best is None or res[2] < best[2]:
             best = res
     return best
 
 
-def hurwitz_zeta(s: float, u: float, cfg: EMConfig = DEFAULT_EM) -> ZetaValue:
+def hurwitz_zeta(s: float, u: float) -> ZetaValue:
     """zeta(s, u) = sum_{k>=0} (k+u)^-s, analytically continued in s.
 
     Requires u > 0 and s != 1.  err_est is the first omitted correction
     term plus a head rounding estimate.
     """
-    v, _, e = _zeta_em(float(s), float(u), cfg, want_deriv=False)
+    v, _, e = _zeta_em(float(s), float(u), want_deriv=False)
     return ZetaValue(v, None, e)
 
 
-def hurwitz_zeta_deriv(s: float, u: float, cfg: EMConfig = DEFAULT_EM) -> ZetaValue:
+def hurwitz_zeta_deriv(s: float, u: float) -> ZetaValue:
     """zeta(s, u) together with its s-derivative in the deriv field."""
-    v, d, e = _zeta_em(float(s), float(u), cfg, want_deriv=True)
+    v, d, e = _zeta_em(float(s), float(u), want_deriv=True)
     return ZetaValue(v, d, e)
 
 

@@ -9,10 +9,14 @@ Levels 0-3, which every pass sums before its first stop test, are one
 evaluation of the integrand on their concatenated nodes; from level 4 on,
 each level is one evaluation.  The double integral's outer pass still runs
 one inner pass per outer level (see integrate_double).
-Each level's nodes are cached with their distance to the nearest endpoint
-and the complements 1-x and log x, all computed without cancellation, so
+Each level's nodes are cached with the complements 1-x and log x, computed
+from the distance to the nearest endpoint without cancellation, so
 endpoint-singular factors such as x^(u-1) or (1-x)^(-d) stay stable at node
 distances down to ~1e-290.
+
+The public entry point is tanh_sinh_01(f, cfg): f(nodes) reads the node
+record's x, eps = 1-x and log_x = log x.  Every route's (outer) pass calls
+it; the nested inner passes call the refinement loop directly.
 
 Routes (d or alpha is the *integrand* index; the value is the log-product
 one step down, log z_{d-1} / log z_{alpha-1}):
@@ -78,19 +82,20 @@ class QuadratureNonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tanh-sinh tuning: halving depth and absolute tolerance."""
+    """Tanh-sinh tuning: the halving depth."""
 
     level_max: int = 12
-    abs_tol: float = 1e-11
 
     def __post_init__(self):
         if not 1 <= self.level_max <= 14:
             raise ValueError("QuadConfig: level_max must be in 1..14")
-        if not self.abs_tol >= 1e-14:
-            raise ValueError("QuadConfig: abs_tol must be >= 1e-14")
 
 
 DEFAULT_QUAD = QuadConfig()
+
+# A pass stops once two levels agree to this; nested inner passes use a
+# tenth of it.
+_ABS_TOL = 1e-11
 
 
 # --------------------------------------------------------------------------
@@ -108,19 +113,14 @@ _FIRST_STOP = 3
 class _Nodes(NamedTuple):
     """Tanh-sinh nodes with their weights w and the step h of their level.
 
-    delta is the distance to the nearest endpoint (x on the left half, 1-x
-    on the right half), logd = log(delta), and right marks the right half.
-    eps = 1-x and log_x = log(x) are assembled from delta and logd, so
-    neither cancels at either endpoint.  A level's table holds the nodes new
-    at that level; a block of levels 0..top holds theirs in level order, so
-    h changes where a level starts.
+    eps = 1-x and log_x = log(x) are built from the distance to the nearest
+    endpoint, so neither cancels at either endpoint.  A level's table holds
+    the nodes new at that level; a block of levels 0..top holds theirs in
+    level order, so h changes where a level starts.
     """
 
     x: np.ndarray
-    delta: np.ndarray
-    logd: np.ndarray
     w: np.ndarray
-    right: np.ndarray
     eps: np.ndarray
     log_x: np.ndarray
     h: np.ndarray
@@ -186,8 +186,7 @@ def _build_level(level: int) -> _Nodes:
     right = x > 0.5
     eps = np.where(right, delta, 1.0 - x)
     log_x = np.where(right, np.log1p(-delta * right), logd)
-    return _Nodes(*_read_only([x, delta, logd, w, right, eps, log_x,
-                               np.full(len(x), h)]))
+    return _Nodes(*_read_only([x, w, eps, log_x, np.full(len(x), h)]))
 
 
 def _build_block(top: int) -> _Block:
@@ -263,9 +262,14 @@ def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     raise QuadratureNonConvergence(partial, change, cfg.level_max)
 
 
-def _integrate(f, cfg: QuadConfig) -> tuple[float, float, int]:
-    """One integrand f(nodes) of shape (n,) to abs_tol; non-finite values
-    raise ValueError.  Returns (value, err_est, nodes_used)."""
+def tanh_sinh_01(f, cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float, int]:
+    """Integrate f over (0, 1); returns (value, err_est, nodes_used).
+
+    f(nodes) gives the integrand, shape (n,), at the node record's x,
+    eps = 1-x and log_x = log(x).  err_est is the last level change, but
+    at least 8 eps |value|.  Raises ValueError when f returns a non-finite
+    value and QuadratureNonConvergence when level_max is exhausted.
+    """
     def checked(nodes):
         fx = np.asarray(f(nodes), dtype=float)
         if not np.all(np.isfinite(fx)):
@@ -273,21 +277,9 @@ def _integrate(f, cfg: QuadConfig) -> tuple[float, float, int]:
             raise ValueError(f"integrand returned non-finite values near x={bad}")
         return fx
 
-    value, change, nodes_used = _refine(checked, cfg, cfg.abs_tol)
+    value, change, nodes_used = _refine(checked, cfg, _ABS_TOL)
     value = float(value)
     return value, max(change, 8.0 * _EPS * abs(value)), nodes_used
-
-
-def tanh_sinh_01(f, cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float, int]:
-    """Integrate f over (0, 1); returns (value, err_est, nodes_used).
-
-    f(x, delta, logd, right) is called with numpy arrays: delta is the
-    distance to the nearest endpoint, logd its log, and right a boolean mask
-    (True where delta measures the distance to 1).  Raises ValueError when f
-    returns a non-finite value and QuadratureNonConvergence when level_max
-    is exhausted.
-    """
-    return _integrate(lambda n: f(n.x, n.delta, n.logd, n.right), cfg)
 
 
 # --------------------------------------------------------------------------
@@ -373,7 +365,7 @@ def integrate_single_d(d: int, u: float,
         xp = np.exp((u - 1.0) * nodes.log_x)
         return xp * _bracket_values(d, nodes.eps, nodes.log_x)
 
-    value, err, nodes_used = _integrate(f, cfg)
+    value, err, nodes_used = tanh_sinh_01(f, cfg)
     return Approximation(value, err, nodes_used)
 
 
@@ -398,7 +390,7 @@ def integrate_double(alpha: float, u: float,
         raise ValueError("integrate_double: requires alpha > -1")
     if not u > 0:
         raise ValueError("integrate_double: u must be > 0")
-    inner_tol = cfg.abs_tol / 10.0
+    inner_tol = _ABS_TOL / 10.0
 
     def inner_pass(p):
         eps_p = p.eps[:, None]
@@ -419,7 +411,7 @@ def integrate_double(alpha: float, u: float,
     def outer(p):
         return np.concatenate([inner_pass(part) for part in _split_levels(p)])
 
-    value, err, nodes_used = _integrate(outer, cfg)
+    value, err, nodes_used = tanh_sinh_01(outer, cfg)
     return Approximation(value, err, nodes_used)
 
 
@@ -435,12 +427,7 @@ def _geom_tail_series_scaled(alpha: float, w: np.ndarray, tol: float) -> np.ndar
     deepest nodes).
     """
     out = np.zeros_like(w)
-    if len(w) == 0:
-        return out
-    wmax = float(np.max(w))
-    if wmax <= 0.0:
-        return out
-    nmax = max(8, int(math.ceil(math.log(tol) / math.log(max(wmax, 1e-12)))) + 2)
+    nmax = max(8, int(math.ceil(math.log(tol) / math.log(np.max(w)))) + 2)
     p = w.copy()
     for n in range(1, nmax + 1):
         out += p / (n + alpha)
@@ -478,14 +465,14 @@ def integrate_prelim(alpha: float, u: float,
 
     The value is log z_{alpha-1}(u).  G uses the direct series for
     w <= 0.6 and the decomposition G = -log x - H(w) beyond it (H bounded,
-    one nested quadrature level at tolerance abs_tol/10); -log x dominates
-    H there, so the subtraction is benign.
+    one nested quadrature level at a tenth of the outer tolerance); -log x
+    dominates H there, so the subtraction is benign.
     """
     if not alpha > -1:
         raise ValueError("integrate_prelim: requires alpha > -1")
     if not u > 0:
         raise ValueError("integrate_prelim: u must be > 0")
-    inner_tol = cfg.abs_tol / 10.0
+    inner_tol = _ABS_TOL / 10.0
 
     def f(nodes):
         eps, log_x = nodes.eps, nodes.log_x            # w = 1 - x
@@ -503,7 +490,7 @@ def integrate_prelim(alpha: float, u: float,
         xp = np.exp((u - 1.0) * log_x)
         return -xp * ratio / log_x
 
-    value, err, nodes_used = _integrate(f, cfg)
+    value, err, nodes_used = tanh_sinh_01(f, cfg)
     return Approximation(value, err, nodes_used)
 
 
@@ -539,6 +526,6 @@ def integrate_elementary_half(cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
             out[far] = (1.0 - atanh_r / r) / log_x[far]
         return out
 
-    value, err, nodes_used = _integrate(f, cfg)
+    value, err, nodes_used = tanh_sinh_01(f, cfg)
     return Approximation(value, err, nodes_used)
 

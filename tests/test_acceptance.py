@@ -34,9 +34,9 @@ import pytest
 
 from zetaprod.closedform import log_z_closed, special_value
 from zetaprod.exactnum import bernoulli_poly
-from zetaprod.hurwitz import (EMConfig, agm, digamma, euler_gamma,
-                              hurwitz_zeta, hurwitz_zeta_deriv, log_bendersky,
-                              log_gamma)
+from zetaprod import hurwitz
+from zetaprod.hurwitz import (agm, digamma, euler_gamma, hurwitz_zeta,
+                              hurwitz_zeta_deriv, log_bendersky, log_gamma)
 from zetaprod.quad import (integrate_double, integrate_elementary_half,
                            integrate_prelim, integrate_single_d)
 from zetaprod.rstirling import (entry_by_unsigned_identity, row_by_gf,
@@ -287,11 +287,13 @@ def test_c7_gamma_third_agm(acceptance_log):
                    diff < 1e-9, f"|diff| = {diff:.3e}")
 
 
-def test_c7_em_refinement(acceptance_log):
+def test_c7_em_refinement(acceptance_log, monkeypatch):
     ok = True
     for (s, u) in ((2.0, 1.0), (0.5, 0.3), (-2.5, 1.7)):
-        a = hurwitz_zeta(s, u, EMConfig(N=40, J=12))
-        b = hurwitz_zeta(s, u, EMConfig(N=60, J=12))
+        a = hurwitz_zeta(s, u)
+        with monkeypatch.context() as m:
+            m.setattr(hurwitz, "_EM_N", 60)     # a longer head
+            b = hurwitz_zeta(s, u)
         ok = ok and abs(a.value - b.value) <= a.err_est
     acceptance_log("criterion 7", "EM refinement within err_est", ok)
 

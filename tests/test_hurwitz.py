@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from zetaprod.exactnum import bernoulli_number, bernoulli_poly
-from zetaprod.hurwitz import (EMConfig, agm, digamma, euler_gamma,
-                              hurwitz_zeta, hurwitz_zeta_deriv, log_bendersky,
-                              log_gamma)
+from zetaprod import hurwitz
+from zetaprod.hurwitz import (agm, digamma, euler_gamma, hurwitz_zeta,
+                              hurwitz_zeta_deriv, log_bendersky, log_gamma)
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -54,12 +54,6 @@ class TestHurwitzZetaValues:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, -1.5)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            EMConfig(N=0)
-        with pytest.raises(ValueError):
-            EMConfig(J=31)
 
 
 class TestHurwitzZetaDeriv:
@@ -193,9 +187,10 @@ class TestAGM:
 class TestRefinement:
     @pytest.mark.parametrize("s,u", [(2.0, 1.0), (0.5, 0.3), (-2.5, 1.7),
                                      (3.7, 2.2), (-7.3, 0.8)])
-    def test_larger_head_changes_less_than_err_est(self, s, u):
-        a = hurwitz_zeta(s, u, EMConfig(N=40, J=12))
-        b = hurwitz_zeta(s, u, EMConfig(N=60, J=12))
+    def test_larger_head_changes_less_than_err_est(self, s, u, monkeypatch):
+        a = hurwitz_zeta(s, u)
+        monkeypatch.setattr(hurwitz, "_EM_N", 60)
+        b = hurwitz_zeta(s, u)
         assert abs(a.value - b.value) <= a.err_est
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from zetaprod.closedform import log_z_closed
 from zetaprod.hurwitz import euler_gamma, log_bendersky
-from zetaprod.quad import (QuadConfig, QuadratureNonConvergence,
+from zetaprod.quad import (_ABS_TOL, QuadConfig, QuadratureNonConvergence,
                            _block_nodes, _level_nodes, _refine,
                            integrate_double, integrate_elementary_half,
                            integrate_prelim, integrate_single_d, tanh_sinh_01)
@@ -15,48 +15,43 @@ from zetaprod.series import log_tn_sweep
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _logx(delta, logd, right):
-    # helper for test integrands: log x from the node complements
-    return np.where(right, np.log1p(-delta * right), logd)
-
-
 class TestEngine:
     def test_polynomial(self):
-        v, e, n = tanh_sinh_01(lambda x, d, l, r: x * x)
+        v, e, n = tanh_sinh_01(lambda n: n.x * n.x)
         assert abs(v - 1.0 / 3.0) < 1e-14
         assert n > 0
 
     def test_inverse_sqrt_endpoint_singularity(self):
-        f = lambda x, d, l, r: np.exp(-0.5 * np.where(r, np.log(x), l))
-        v, e, n = tanh_sinh_01(f)
+        v, e, n = tanh_sinh_01(lambda n: np.exp(-0.5 * n.log_x))
         assert abs(v - 2.0) < 1e-13
 
     def test_log_singularity(self):
-        v, e, n = tanh_sinh_01(lambda x, d, l, r: _logx(d, l, r))
+        v, e, n = tanh_sinh_01(lambda n: n.log_x)
         assert abs(v + 1.0) < 1e-12
 
     def test_symmetric_beta(self):
         # int x^(-1/3) (1-x)^(-1/3) = Beta(2/3, 2/3)
-        def f(x, d, l, r):
-            log_left = np.where(r, np.log(x), l)
-            log_right = np.where(r, l, np.log1p(np.where(r, 0.0, -x)))
-            return np.exp(-(log_left + log_right) / 3.0)
-        v, e, n = tanh_sinh_01(f)
+        v, e, n = tanh_sinh_01(
+            lambda n: np.exp(-(n.log_x + np.log(n.eps)) / 3.0))
         ref = math.gamma(2 / 3) ** 2 / math.gamma(4 / 3)
         assert abs(v - ref) < 1e-12
 
     def test_nonconvergence_raises_with_partial(self):
-        cfg = QuadConfig(level_max=2, abs_tol=1e-14)
+        cfg = QuadConfig(level_max=2)
         with pytest.raises(QuadratureNonConvergence) as exc:
-            tanh_sinh_01(lambda x, d, l, r: np.cos(50.0 * x), cfg)
+            tanh_sinh_01(lambda n: np.cos(50.0 * n.x), cfg)
         assert math.isfinite(exc.value.value)
+
+    def test_non_finite_integrand_is_a_value_error(self):
+        with pytest.raises(ValueError, match="non-finite values near x="):
+            tanh_sinh_01(lambda n: np.where(n.x > 0.5, np.inf, n.x))
 
     def test_batch_nonconvergence_has_no_partial_value(self):
         # a batch's rows are pieces of an outer integrand, not an estimate
-        cfg = QuadConfig(level_max=2, abs_tol=1e-14)
+        cfg = QuadConfig(level_max=2)
         freqs = np.array([50.0, 60.0])[:, None]
         with pytest.raises(QuadratureNonConvergence) as exc:
-            _refine(lambda n: np.cos(freqs * n.x), cfg, cfg.abs_tol)
+            _refine(lambda n: np.cos(freqs * n.x), cfg, 1e-14)
         assert math.isnan(exc.value.value)
 
     @pytest.mark.parametrize("k", [0, 3, 5])
@@ -65,7 +60,6 @@ class TestEngine:
         # converge, so the pass stops there instead of summing out to
         # level_max.  Levels 0-3 are one call of f, so the inf goes to the
         # first node whose step h is that of level k
-        cfg = QuadConfig(abs_tol=1e-14)
         freqs = np.array([50.0, 60.0])[:, None]
         calls = []
 
@@ -78,7 +72,7 @@ class TestEngine:
             return rows
 
         with pytest.raises(QuadratureNonConvergence) as exc:
-            _refine(f, cfg, cfg.abs_tol)
+            _refine(f, QuadConfig(), 1e-14)
         # no evaluation after level k: the block, then levels 4..k
         assert len(calls) == (1 if k <= 3 else k - 2)
         assert exc.value.level == k
@@ -88,34 +82,32 @@ class TestEngine:
     def test_finite_batch_runs_to_convergence(self):
         # the same rows without the inf: the early stop never fires, and
         # they need more than the 5 levels the stop test cuts them at
-        cfg = QuadConfig(abs_tol=1e-14)
         freqs = np.array([50.0, 60.0])
         value, change, nodes = _refine(
-            lambda n: np.cos(freqs[:, None] * n.x), cfg, cfg.abs_tol)
-        assert change <= cfg.abs_tol
+            lambda n: np.cos(freqs[:, None] * n.x), QuadConfig(), 1e-14)
+        assert change <= 1e-14
         assert np.allclose(value, np.sin(freqs) / freqs, rtol=0, atol=1e-13)
         assert nodes > sum(len(_level_nodes(level).x) for level in range(6))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadConfig(level_max=0)
-        with pytest.raises(ValueError):
-            QuadConfig(abs_tol=1e-15)
 
     def test_cached_nodes_are_read_only(self):
         # every call shares a level's node arrays
-        def f(x, d, l, r):
+        def f(n):
+            x = n.x
             x *= 2.0
             return x
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="read-only"):
             tanh_sinh_01(f)
 
     def test_batch_runs_each_row_like_a_single_integrand(self):
         # x^k for k = 0..4 as one (5, n) batch and as five (n,) integrands
         cfg = QuadConfig()
         powers = np.arange(5)[:, None]
-        batch, _, nodes = _refine(lambda n: n.x ** powers, cfg, cfg.abs_tol)
-        singles = [_refine(lambda n, k=k: n.x ** k, cfg, cfg.abs_tol)
+        batch, _, nodes = _refine(lambda n: n.x ** powers, cfg, _ABS_TOL)
+        singles = [_refine(lambda n, k=k: n.x ** k, cfg, _ABS_TOL)
                    for k in range(5)]
         # the batch refines until its slowest row has converged
         assert nodes == max(s[2] for s in singles)
@@ -161,13 +153,13 @@ class TestBlock:
 
     @staticmethod
     def _peaked(n):
-        # 1/(1+100 x^2) needs levels 4 and 5 at the default abs_tol
+        # 1/(1+100 x^2) needs levels 4 and 5 at the default tolerance
         return 1.0 / (1.0 + 100.0 * n.x ** 2)
 
     def test_single_integrand(self):
         cfg = QuadConfig()
-        value, _, nodes = _refine(self._peaked, cfg, cfg.abs_tol)
-        ref, _, ref_nodes = _level_by_level(self._peaked, cfg, cfg.abs_tol)
+        value, _, nodes = _refine(self._peaked, cfg, _ABS_TOL)
+        ref, _, ref_nodes = _level_by_level(self._peaked, cfg, _ABS_TOL)
         assert nodes == ref_nodes > len(_block_nodes(3).nodes.x)
         assert _close(value, ref)
         assert _close(value, math.atan(10.0) / 10.0)
@@ -180,8 +172,8 @@ class TestBlock:
             return np.stack([self._peaked(n), np.cos(10.0 * n.x),
                              np.exp(-0.5 * n.log_x) * np.log(n.eps)])
 
-        value, _, nodes = _refine(f, cfg, cfg.abs_tol, weight)
-        ref, _, ref_nodes = _level_by_level(f, cfg, cfg.abs_tol, weight)
+        value, _, nodes = _refine(f, cfg, _ABS_TOL, weight)
+        ref, _, ref_nodes = _level_by_level(f, cfg, _ABS_TOL, weight)
         assert nodes == ref_nodes
         assert _close(value, ref)
 
@@ -191,7 +183,7 @@ class TestBlock:
     def test_low_level_max(self, level_max, g):
         # the block stops at level_max: the same raise or value as the
         # level-by-level pass, and no node of a deeper level is evaluated
-        cfg = QuadConfig(level_max=level_max, abs_tol=1e-10)
+        cfg = QuadConfig(level_max=level_max)
         steps = []
 
         def f(n):
@@ -199,20 +191,20 @@ class TestBlock:
             return g(n.x)
 
         try:
-            ref = _level_by_level(f, cfg, cfg.abs_tol)
+            ref = _level_by_level(f, cfg, 1e-10)
         except QuadratureNonConvergence as exc:
             ref = exc
         steps.clear()
         if isinstance(ref, QuadratureNonConvergence):
             with pytest.raises(QuadratureNonConvergence) as exc:
-                _refine(f, cfg, cfg.abs_tol)
+                _refine(f, cfg, 1e-10)
             assert exc.value.level == ref.level == level_max
             assert _close(exc.value.value, ref.value)
             assert (exc.value.err_est == ref.err_est == math.inf
                     if level_max < 3 else _close(exc.value.err_est,
                                                  ref.err_est))
         else:
-            value, _, nodes = _refine(f, cfg, cfg.abs_tol)
+            value, _, nodes = _refine(f, cfg, 1e-10)
             assert nodes == ref[2]
             assert _close(value, ref[0])
         assert steps == [2.0 ** -level_max]
