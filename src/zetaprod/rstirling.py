@@ -56,7 +56,9 @@ def _one_like(r):
 
 
 def _poly_mul(a: list, b: list) -> list:
-    out = [a[0] * 0] * (len(a) + len(b) - 1)
+    # zero of the row's type from the monic leading 1, which stays finite
+    # when a float a[0] has overflowed
+    out = [a[-1] * 0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj

@@ -53,6 +53,22 @@ def test_traced_names_resolve(bench):
         assert callable(getattr(importlib.import_module(mod_name), attr))
 
 
+def test_every_traced_span_records_a_call(bench, monkeypatch):
+    # a route that stops calling a traced name would leave that layer's
+    # metrics at 0 without failing the benchmark
+    tracing, worker = bench["tracing"], bench["worker"]
+    for mod_name, attr, _span in tracing.BOUNDARY:
+        mod = importlib.import_module(mod_name)
+        monkeypatch.setattr(mod, attr, getattr(mod, attr))  # undone after
+    tracer = tracing.Tracer()
+    tracer.install()
+    worker.RouteSweep().op({"alpha": 2.0, "u": 0.7, "int": True})
+    worker.ShiftIdentity().op({"checks": [
+        {"alpha": 2.0, "s": 2.5, "u": 0.7, "int": True}]})
+    recorded = set(tracing.self_times(tracer.spans))
+    assert {span for _mod, _attr, span in tracing.BOUNDARY} - recorded == set()
+
+
 @pytest.mark.parametrize("op,schema", [
     ({"cmd": "eval", "alpha": 2.0, "u": 1.0}, cli.REPORT_SCHEMA_V1),
     ({"cmd": "constants"}, cli.CONSTANTS_SCHEMA_V1),

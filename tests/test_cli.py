@@ -19,6 +19,7 @@ from zetaprod.closedform import log_z_closed
 from zetaprod.hurwitz import euler_gamma
 from zetaprod.rstirling import row_by_gf
 from zetaprod.quad import QuadratureNonConvergence, integrate_double
+from zetaprod.series import log_z_direct
 
 
 def run(capsys, *argv):
@@ -287,8 +288,14 @@ class TestCrosscheckCommand:
          "alpha=0.0, u=1e-20"),
     ])
     def test_route_domain_error_names_route_and_cell(self, capsys, argv,
-                                                     where):
-        # the series' error estimate is non-finite at u this small
+                                                     where, monkeypatch):
+        # a ValueError inside a route, as the route table looks it up
+        def failing(p, *args, **kwargs):
+            if p.u < 1e-15:
+                raise ValueError("u is too small for this route")
+            return log_z_direct(p, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "log_z_direct", failing)
         code, out, err = run(capsys, *argv, "--format", "json")
         assert code == EXIT_USAGE
         assert out == ""
@@ -339,8 +346,15 @@ class TestStirlingCommand:
                              "--u", "1e308")
         assert code == EXIT_NUMERIC_FAIL
         assert out == ""
-        assert err.startswith("numeric failure: the float row entry is nan")
+        assert err.startswith("numeric failure: the float row entry is inf")
         assert "--exact" in err
+
+    def test_float_leading_entry_survives_overflow(self, capsys):
+        # the row is monic: its x^n entry is exactly 1 whatever r is
+        code, out, _ = run(capsys, "stirling", "--n", "3", "--k", "3",
+                           "--u", "1e308")
+        assert code == EXIT_PASS
+        assert out == "1.0\n"
 
 
 class TestZetaCommand:

@@ -34,6 +34,14 @@ class TestRowByGF:
         for n in range(6):
             assert row_by_gf(n, Fraction(7, 3)).coeffs[n] == 1
 
+    def test_float_overflow_stays_in_its_entries(self):
+        # r^3 and 3r^2 overflow; the other entries stay the rounded exact row
+        r = 1 - 1e200
+        row = row_by_gf(3, r).coeffs
+        assert row == (-math.inf, math.inf, -3e200, 1.0)
+        exact = row_by_gf(3, Fraction(r)).coeffs
+        assert [float(exact[k]) for k in (2, 3)] == [row[2], row[3]]
+
 
 class TestRowByRecurrence:
     def test_base_case(self):

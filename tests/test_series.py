@@ -480,6 +480,15 @@ class TestExactTail:
         assert abs(a.value - ref) <= a.err_est
         assert a.err_est < 1e-12
 
+    @pytest.mark.parametrize("u", [1e-16, 1e-20])
+    def test_tiny_u_is_finite_within_err_est(self, u):
+        # below u ~ 1e-16 the tail's Euler-Maclaurin denominator p - 1 at
+        # p = u + v + 1 lost v to rounding and divided by zero
+        ref = math.log(u) - digamma(u)
+        a = log_z_direct(EvalParams(0.0, u), 200, FRU, tightened=True)
+        assert math.isfinite(a.value) and math.isfinite(a.err_est)
+        assert abs(a.value - ref) <= a.err_est
+
 
 class TestResummedPowerSum:
     def test_s_equal_one_trivial(self):
