@@ -48,7 +48,7 @@ _EPS = 2.0 ** -52
 
 
 # Euler-Maclaurin head length (the longest head tried) and correction
-# count; read at call time.
+# count; read at call time, so a test can lengthen the head.
 _EM_N = 40
 _EM_J = 12
 

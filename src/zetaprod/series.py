@@ -488,7 +488,8 @@ def _beta_tail(u: float, a1: float, X: int) -> tuple[float, float]:
         r = r * (p + (2 * j - 3)) * (p + (2 * j - 2)) / (X * X)
         corr += _EM_COEF[j - 1] * r
     x_pow = np.exp(-(s + 1.0) * log_x) * float(X) ** -ms
-    sums = x_pow * (X / (s + ms) + 0.5 + corr)      # s + ms = p - 1
+    # X / (p - 1) with p - 1 as s + m: formed from p it rounds s < 1e-16 to 0
+    sums = x_pow * (X / (s + ms) + 0.5 + corr)
     terms = e * sums * w
     f = terms.sum(axis=0)
     fine = float(f.sum())

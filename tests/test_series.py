@@ -482,8 +482,8 @@ class TestExactTail:
 
     @pytest.mark.parametrize("u", [1e-16, 1e-20])
     def test_tiny_u_is_finite_within_err_est(self, u):
-        # below u ~ 1e-16 the tail's Euler-Maclaurin denominator p - 1 at
-        # p = u + v + 1 lost v to rounding and divided by zero
+        # the tail's Euler-Maclaurin denominator p - 1 = u + v + m must keep
+        # u + v where 1 + u + v rounds to 1
         ref = math.log(u) - digamma(u)
         a = log_z_direct(EvalParams(0.0, u), 200, FRU, tightened=True)
         assert math.isfinite(a.value) and math.isfinite(a.err_est)
