@@ -463,9 +463,16 @@ def _beta_tail(u: float, a1: float, X: int) -> tuple[float, float]:
     plus the size of the last (m = 14) term.
 
     Needs X >> |a1|; nodes with s = u+v > X/4, where the expansions in s/X
-    fail, are dropped (their weight there is below (4e)^(-X/4)).
+    fail, are dropped (their weight there is below (4e)^(-X/4)).  Raises a
+    ValueError for u below the smallest node offset v (about 2e-25), where
+    the nodes step over Gamma(s)'s 1/s peak and both the value and the error
+    estimate fall short of the tail.
     """
     log_x = math.log(X)
+    v_min = _ES_Z[0] / log_x
+    if u < v_min:
+        raise ValueError(f"log_z_direct: u = {u} is below {v_min:.3g}, the "
+                         f"smallest node of the tail's exp-sinh rule")
     keep = int(np.searchsorted(_ES_Z, (0.25 * X - u) * log_x, side="right"))
     s = u + _ES_Z[:keep] / log_x
     w = _ES_W[:keep] / log_x * np.array([math.gamma(x) for x in s])

@@ -301,6 +301,14 @@ class TestCrosscheckCommand:
         assert out == ""
         assert err.startswith(f"error: series at {where}: ")
 
+    def test_series_below_its_tail_nodes_names_route_and_cell(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "0.5", "--u", "1e-30",
+                             "--route", "series")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: series at alpha=0.5, u=1e-30: ")
+        assert "smallest node" in err
+
 
 class TestNoApplicableRoute:
     def test_excluded_integer_alpha_all_routes(self, capsys):

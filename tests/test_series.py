@@ -480,7 +480,7 @@ class TestExactTail:
         assert abs(a.value - ref) <= a.err_est
         assert a.err_est < 1e-12
 
-    @pytest.mark.parametrize("u", [1e-16, 1e-20])
+    @pytest.mark.parametrize("u", [1e-16, 1e-20, 3e-25])
     def test_tiny_u_is_finite_within_err_est(self, u):
         # the tail's Euler-Maclaurin denominator p - 1 = u + v + m must keep
         # u + v where 1 + u + v rounds to 1
@@ -488,6 +488,15 @@ class TestExactTail:
         a = log_z_direct(EvalParams(0.0, u), 200, FRU, tightened=True)
         assert math.isfinite(a.value) and math.isfinite(a.err_est)
         assert abs(a.value - ref) <= a.err_est
+
+    @pytest.mark.parametrize("alpha", [0.0, 40.0])
+    @pytest.mark.parametrize("u", [2e-25, 1e-30, 1e-300])
+    def test_u_below_the_tail_nodes_raises(self, alpha, u):
+        # below the exp-sinh rule's smallest node the tail misses Gamma's
+        # 1/u peak: 1e-30 summed to 1.5e25 with err_est 1.4e25
+        p = EvalParams(alpha, u)
+        with pytest.raises(ValueError, match="smallest node"):
+            log_z_direct(p, head_terms(alpha + 1.0), FRU, tightened=True)
 
 
 class TestResummedPowerSum:
