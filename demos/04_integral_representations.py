@@ -21,8 +21,7 @@ for d in range(4):
     s1 = integrate_single_d(d, 0.5).value
     s2 = integrate_double(float(d), 0.5).value
     s3 = integrate_prelim(float(d), 0.5).value
-    sr = log_z_direct(EvalParams(float(d) - 1.0, 0.5), 10000,
-                      tightened=True).value
+    sr = log_z_direct(EvalParams(float(d) - 1.0, 0.5)).value
     print(f"{d:>3} {s1:>20.14f} {s2:>20.14f} {s3:>20.14f} {sr:>20.14f}")
 print()
 

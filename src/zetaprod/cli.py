@@ -39,8 +39,7 @@ from .hurwitz import (agm, euler_gamma, hurwitz_zeta, hurwitz_zeta_deriv,
 from .quad import (QuadratureNonConvergence, integrate_double,
                    integrate_prelim, integrate_single_d)
 from .rstirling import row_by_gf
-from .series import (Approximation, DifferenceMethod, EvalParams, head_terms,
-                     log_z_direct)
+from .series import Approximation, EvalParams, log_z_direct
 
 __all__ = [
     "main",
@@ -88,7 +87,7 @@ def _excluded(alpha: float) -> str | None:
 # Every route in report order.  declines(alpha) is the reason a route does
 # not apply, or None.  evaluate(alpha, u) looks up its module-level route
 # function when called, so a name patched at run time is seen.  The series
-# runs its whole head (head_terms), the integrals on quad.DEFAULT_QUAD.
+# sums the whole series, the integrals run on quad.DEFAULT_QUAD.
 # Integrand index d gives log z_{d-1}: integrals take alpha + 1.
 ROUTES = (
     Route("closed",
@@ -96,8 +95,7 @@ ROUTES = (
           else "closed form needs integer alpha >= 0",
           lambda a, u: log_z_closed(int(a), u)),
     Route("series", _excluded,
-          lambda a, u: log_z_direct(EvalParams(a, u), head_terms(a + 1.0),
-                                    DifferenceMethod.FRULLANI, tightened=True)),
+          lambda a, u: log_z_direct(EvalParams(a, u))),
     Route("integral-single",
           lambda a: _excluded(a) or (
               None if _is_int(a) and a >= -1

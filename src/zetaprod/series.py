@@ -58,7 +58,6 @@ __all__ = [
     "log_tn_sweep",
     "s_alpha_truncated",
     "log_z_direct",
-    "head_terms",
     "resummed_power_partial",
     "functional_eq_residual",
     "inner_diff_exact",
@@ -452,7 +451,7 @@ _ES_W = _ES_W[_ES_Z <= 45.0]
 _ES_Z = _ES_Z[_ES_Z <= 45.0]
 
 
-def head_terms(a1: float) -> int:
+def _head_terms(a1: float) -> int:
     """Terms of log_z_direct's explicit head at alpha = a1 - 1."""
     return max(_HEAD_MIN, math.ceil(_HEAD_PER_A1 * abs(a1)))
 
@@ -504,43 +503,33 @@ def _beta_tail(u: float, a1: float, X: int) -> tuple[float, float]:
     return fine, abs(fine - coarse) + float(np.abs(terms[-1]).sum())
 
 
-def log_z_direct(p: EvalParams, N: int,
+def log_z_direct(p: EvalParams, N: int | None = None,
                  method: DifferenceMethod = DifferenceMethod.FRULLANI,
-                 tightened: bool = False) -> Approximation:
-    """The direct series sum_{n>=1} log t_n(u) / (n+alpha+1).
+                 tightened: bool = True) -> Approximation:
+    """The direct series sum_{n>=1} log t_n(u) / (n+alpha+1), summed whole:
+    an explicit head of H = _head_terms(alpha+1) terms from log_tn_sweep
+    plus the exact tail (_beta_tail).
 
-    With tightened=False this is the raw partial sum over n <= N, with the
-    decay model's tail as err_est.  With tightened=True it is the whole
-    series: an explicit head of H = head_terms(alpha+1) terms plus the
-    exact tail (_beta_tail).  N caps the head, so N < H raises a
-    ValueError that names H, and no N beyond H changes the value.
+    The trailing parameters only accept the old whole-series call
+    (p, N, FRULLANI, True) that bench/worker.py makes: N caps the head, so
+    N < H raises a ValueError that names H, and no N beyond H changes the
+    value; any other method, or tightened=False, raises a ValueError.
     """
     p.require_product_valid()
+    if method is not DifferenceMethod.FRULLANI or not tightened:
+        raise ValueError("log_z_direct: only the whole series by "
+                         "frullani_quadrature is provided")
     a1 = p.alpha + 1.0
-    n_head = N
-    if tightened:
-        n_head = head_terms(a1)
-        if N < n_head:
-            raise ValueError(f"log_z_direct: the series head is {n_head} "
-                             f"terms at alpha = {p.alpha}, above N = {N}")
-    if n_head < 1:
-        raise ValueError("log_z_direct: N must be >= 1")
-    if method is DifferenceMethod.ALTERNATING:
-        if n_head > ALTERNATING_MAX_N:
-            raise ValueError(f"log_z_direct: alternating_sum is limited to "
-                             f"N <= {ALTERNATING_MAX_N}")
-        logt = np.array(_log_tn_alternating(n_head, p.u))
-    else:
-        logt = log_tn_sweep(p.u, n_head)
+    n_head = _head_terms(a1)
+    if N is not None and N < n_head:
+        raise ValueError(f"log_z_direct: the series head is {n_head} "
+                         f"terms at alpha = {p.alpha}, above N = {N}")
+    logt = log_tn_sweep(p.u, n_head)
     ns = np.arange(1, n_head + 1, dtype=float)
     head = float(np.sum(logt[1:] / (ns + a1)))
-    rounding = 4e-15 * n_head ** 0.5
-    if not tightened:
-        c_plateau = _fit_decay_coefficient(np.abs(logt[1:]), ns, p.u)
-        err_raw = c_plateau * N ** (-p.u) / p.u
-        return Approximation(head, err_raw + rounding, N)
     tail, tail_err = _beta_tail(p.u, a1, n_head + 1)
-    return Approximation(head + tail, tail_err + rounding, n_head)
+    return Approximation(head + tail, tail_err + 4e-15 * n_head ** 0.5,
+                         n_head)
 
 
 def resummed_power_partial(s: float, u: float, N: int) -> float:

@@ -110,7 +110,7 @@ def test_c3_route_agreement_matrix(acceptance_log):
             c = log_z_closed(d, u)
             qs = integrate_single_d(d + 1, u)
             qd = integrate_double(float(d) + 1.0, u)
-            sr = log_z_direct(EvalParams(float(d), u), 10000, tightened=True)
+            sr = log_z_direct(EvalParams(float(d), u))
             ds_ = abs(c.value - qs.value)
             dd = abs(c.value - qd.value)
             dse = abs(c.value - sr.value)

@@ -20,8 +20,8 @@ from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              s_alpha_truncated)
 from zetaprod import series
 from zetaprod.series import (_beta_tail, _halfline_nodes,
-                             _inner_diff_quad_sweep, _inner_differences,
-                             head_terms, log_tn_sweep)
+                             _head_terms, _inner_diff_quad_sweep,
+                             _inner_differences, log_tn_sweep)
 
 ALT = DifferenceMethod.ALTERNATING
 FRU = DifferenceMethod.FRULLANI
@@ -238,8 +238,9 @@ class TestMedian:
     def test_log_z_direct_leaves_numpy_ma_unimported(self):
         code = ("import sys\n"
                 "from zetaprod.series import EvalParams, log_z_direct\n"
-                "log_z_direct(EvalParams(0.5, 0.7), 10000, tightened=True)\n"
-                "log_z_direct(EvalParams(0.5, 0.7), 100)\n"
+                "from zetaprod.series import s_alpha_truncated\n"
+                "log_z_direct(EvalParams(0.5, 0.7))\n"
+                "s_alpha_truncated(EvalParams(0.5, 0.7, s=2.5), 500)\n"
                 "print('numpy.ma' in sys.modules)\n")
         root = Path(__file__).resolve().parents[1]
         path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
@@ -394,41 +395,37 @@ class TestLogZDirect:
     def test_alpha_minus_one_is_one_over_u(self):
         # log z_{-1}(u) = 1/u
         for u in (0.5, 1.0, 3.0):
-            a = log_z_direct(EvalParams(-1.0, u), 5000)
-            assert abs(a.value - 1.0 / u) <= a.err_est * 1.5
+            a = log_z_direct(EvalParams(-1.0, u))
+            assert abs(a.value - 1.0 / u) <= a.err_est
 
     def test_alpha_zero_is_gamma(self):
-        a = log_z_direct(EvalParams(0.0, 1.0), 5000)
-        assert abs(a.value - euler_gamma()) <= a.err_est * 1.5
+        a = log_z_direct(EvalParams(0.0, 1.0))
+        assert abs(a.value - euler_gamma()) <= a.err_est
 
     def test_alpha_one_constant(self):
         ref = -0.5 + 0.5 * math.log(2.0 * math.pi)
-        a = log_z_direct(EvalParams(1.0, 1.0), 5000)
-        assert abs(a.value - ref) <= a.err_est * 1.5
-        tight = log_z_direct(EvalParams(1.0, 1.0), 5000, tightened=True)
-        assert abs(tight.value - ref) < 1e-7
-
-    def test_tightened_beats_raw(self):
-        ref = math.log(1.0) - digamma(0.5) + math.log(0.5)  # log z_0(1/2)
-        raw = log_z_direct(EvalParams(0.0, 0.5), 10000)
-        tight = log_z_direct(EvalParams(0.0, 0.5), 10000, tightened=True)
-        assert abs(tight.value - ref) < abs(raw.value - ref)
-        assert abs(tight.value - ref) < 1e-4
+        a = log_z_direct(EvalParams(1.0, 1.0))
+        assert abs(a.value - ref) <= a.err_est
 
     def test_rejects_forbidden_alpha(self):
         with pytest.raises(ValueError):
-            log_z_direct(EvalParams(-2.0, 1.0), 100)
+            log_z_direct(EvalParams(-2.0, 1.0))
 
     def test_alternating_cap(self):
-        with pytest.raises(ValueError):
-            log_z_direct(EvalParams(0.0, 1.0), 100, ALT)
-        a = log_z_direct(EvalParams(0.0, 1.0), 40, ALT)
-        b = log_z_direct(EvalParams(0.0, 1.0), 40, FRU)
-        assert abs(a.value - b.value) < 1e-12
+        # the first 40 terms at alpha = 0, u = 1 by the sweep and by the
+        # literal sums; the route itself sums only by the sweep
+        ns = np.arange(1, ALTERNATING_MAX_N + 1)
+        sweep = log_tn_sweep(1.0, ALTERNATING_MAX_N)[1:]
+        alt = np.array([log_tn(n, 1.0, ALT) for n in ns])
+        assert abs(math.fsum(sweep / (ns + 1.0))
+                   - math.fsum(alt / (ns + 1.0))) < 1e-12
+        for args in ((10000, ALT, True), (10000, FRU, False)):
+            with pytest.raises(ValueError, match="only the whole series"):
+                log_z_direct(EvalParams(0.0, 1.0), *args)
 
 
 class TestExactTail:
-    """The tightened series: head_terms(alpha+1) explicit terms plus the
+    """The whole series: _head_terms(alpha+1) explicit terms plus the
     tail from log t_n(u) = int_0^inf B(u+v, n+1) dv."""
 
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 2.5, 10.0, 49.5])
@@ -436,7 +433,7 @@ class TestExactTail:
     def test_tail_difference_is_the_explicit_block(self, alpha, u):
         # tail after H terms - tail after 2H terms = terms H+1..2H
         a1 = alpha + 1.0
-        H = head_terms(a1)
+        H = _head_terms(a1)
         t_h, e_h = _beta_tail(u, a1, H + 1)
         t_2h, e_2h = _beta_tail(u, a1, 2 * H + 1)
         logt = log_tn_sweep(u, 2 * H)
@@ -454,29 +451,30 @@ class TestExactTail:
                 own = getattr(obj, "__module__", None) == mod.__name__
                 if own and callable(obj):
                     monkeypatch.setattr(mod, name, refuse)
-        a = log_z_direct(EvalParams(2.0, 0.5), 10000, tightened=True)
+        a = log_z_direct(EvalParams(2.0, 0.5))
         assert math.isfinite(a.value) and a.terms_used == 200
 
     @pytest.mark.parametrize("alpha,H", [(0.0, 200), (24.0, 200), (24.5, 204),
                                          (-30.5, 236), (50.0, 408)])
     def test_head_is_capped_by_N(self, alpha, H):
-        assert head_terms(alpha + 1.0) == H
+        assert _head_terms(alpha + 1.0) == H
         p = EvalParams(alpha, 0.7)
-        a = log_z_direct(p, H, tightened=True)
+        a = log_z_direct(p)
         assert a.terms_used == H
-        assert log_z_direct(p, 10 * H, tightened=True) == a
+        assert log_z_direct(p, H) == a
+        assert log_z_direct(p, 10000, FRU, True) == a
         with pytest.raises(ValueError, match=f"series head is {H} terms"):
-            log_z_direct(p, H - 1, tightened=True)
+            log_z_direct(p, H - 1)
 
     def test_alternating_method_declines(self):
-        with pytest.raises(ValueError, match="alternating_sum is limited"):
-            log_z_direct(EvalParams(0.0, 1.0), 10000, ALT, tightened=True)
+        with pytest.raises(ValueError, match="only the whole series"):
+            log_z_direct(EvalParams(0.0, 1.0), method=ALT)
 
     @pytest.mark.parametrize("u", [0.05, 0.1, 0.5])
     def test_small_u_within_err_est(self, u):
         # log z_0(u) = log u - digamma(u)
         ref = math.log(u) - digamma(u)
-        a = log_z_direct(EvalParams(0.0, u), 10000, tightened=True)
+        a = log_z_direct(EvalParams(0.0, u))
         assert abs(a.value - ref) <= a.err_est
         assert a.err_est < 1e-12
 
@@ -485,7 +483,7 @@ class TestExactTail:
         # the tail's Euler-Maclaurin denominator p - 1 = u + v + m must keep
         # u + v where 1 + u + v rounds to 1
         ref = math.log(u) - digamma(u)
-        a = log_z_direct(EvalParams(0.0, u), 200, FRU, tightened=True)
+        a = log_z_direct(EvalParams(0.0, u))
         assert math.isfinite(a.value) and math.isfinite(a.err_est)
         assert abs(a.value - ref) <= a.err_est
 
@@ -496,7 +494,7 @@ class TestExactTail:
         # 1/u peak: 1e-30 summed to 1.5e25 with err_est 1.4e25
         p = EvalParams(alpha, u)
         with pytest.raises(ValueError, match="smallest node"):
-            log_z_direct(p, head_terms(alpha + 1.0), FRU, tightened=True)
+            log_z_direct(p)
 
 
 class TestResummedPowerSum:
