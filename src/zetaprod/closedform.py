@@ -62,7 +62,8 @@ def regularized_term(k: int, u: float) -> tuple[float, float]:
     if k < 0:
         raise ValueError("regularized_term: k must be >= 0")
     if k == 0:
-        return -digamma(u), _PRIM_ERR * (1 + abs(digamma(u)))
+        psi = digamma(u)
+        return -psi, _PRIM_ERR * (1 + abs(psi))
     zeta_val = -float(bernoulli_poly(k)(Fraction(u))) / k
     zd = hurwitz_zeta_deriv(1.0 - k, u)
     return zeta_val - k * zd.deriv, k * zd.err_est + _PRIM_ERR

@@ -29,11 +29,11 @@ are provided and cross-checked:
     for positive integer powers m = 1-s the sums terminate (D_n = 0 for
     n > m) and the quadrature is skipped in favour of that exact zero.
 
-Truncated sums report an err_est from an empirical decay model fitted to
-the computed terms (|log t_n| ~ C n^-u up to slowly varying factors); the
-model is a runtime fit, not a theorem.  The tightened direct series has no
-fitted tail: it sums an explicit head of at least 200 terms and adds the
-exact tail from log t_n(u) = int_0^inf B(u+v, n+1) dv (see _beta_tail).
+The truncated S_alpha sums report an err_est from the decay law
+|D_n| ~ C n^-u (log n)^(s-2), with C fitted to the computed terms; the fit
+is empirical, not a theorem.  The direct series is never truncated: it
+sums an explicit head of at least 200 terms and adds the exact tail from
+log t_n(u) = int_0^inf B(u+v, n+1) dv (see _beta_tail).
 """
 
 from __future__ import annotations
@@ -372,19 +372,11 @@ def _median(a: np.ndarray) -> float:
     return float(0.5 * (part[n // 2 - 1] + part[n // 2]))
 
 
-def _fit_decay_coefficient(mags: np.ndarray, ns: np.ndarray, u: float) -> float:
-    """Median of |term| * n^u over the last decade [N/10, N] (plateau fit)."""
-    scaled = mags * ns.astype(float) ** u
-    lo = min(max(0, len(ns) // 10 - 1), len(ns) - 1)
-    window = scaled[lo:]
-    return _median(window) if len(window) else 0.0
-
-
 def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     """Partial sum of S_alpha(s, u) over n = 0..N.
 
-    err_est comes from the fitted decay model c*n^-u for the inner
-    differences, giving a tail estimate ~ c N^-u / u.
+    err_est is twice the tail of the decay law D_n ~ C n^-u (log n)^(s-2),
+    with C fitted to the last decade of the computed differences.
     """
     p.require_s_alpha_valid()
     if p.s is None:
@@ -395,12 +387,23 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     ns = np.arange(N + 1, dtype=float)
     weights = 1.0 / (ns + p.alpha + 1.0)
     value = math.fsum(inner * weights)
+    rounding = 1e-15 * (1.0 + abs(value))
     if p.s == 1.0 or (float(p.s) == int(p.s) and p.s <= 1.0 and N > 1 - p.s):
-        err = 1e-15 * (1.0 + abs(value))  # terminated exactly
-    else:
-        c = _fit_decay_coefficient(np.abs(inner[1:]), np.arange(1, N + 1), p.u)
-        err = c * N ** (-p.u) / p.u + 1e-15 * (1.0 + abs(value))
-    return Approximation(value, err, N + 1)
+        return Approximation(value, rounding, N + 1)  # terminated exactly
+    # C: the median of |D_n| n^u (log n)^(2-s) over n in [N/10, N], with
+    # log n read at n >= 2, where it is positive.  With n = N e^t the tail
+    # sum_{n>N} C n^-(u+1) (log n)^(s-2) is
+    # C N^-u int_0^inf e^(-ut) (log N + t)^(s-2) dt.
+    lo = max(1, N // 10)
+    log_n = np.log(np.maximum(ns[lo:], 2.0))
+    c = _median(np.abs(inner[lo:]) * ns[lo:] ** p.u * log_n ** (2.0 - p.s))
+    t, w = _halfline_nodes(p.u, 1, p.s)
+    shape = np.dot(w, np.exp(-p.u * t) * (log_n[-1] + t) ** (p.s - 2.0))
+    tail = c * math.exp(-p.u * log_n[-1]) * float(shape)
+    # Against a 30-digit S_d, error / tail ran 0.13-1.76 wherever the error
+    # passed 1e-12, over d in {0, 2, 5}, s in 0.5..3.5, u in 0.05..10 and
+    # N in {100, 500, 1000}; hence the factor 2.
+    return Approximation(value, 2.0 * tail + rounding, N + 1)
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 The reference is the benchmark's mpmath oracle (bench/oracle.py), loaded
 by path.  On the grid d = -1..10 x u in {0.05, ..., 10} every route asked
 must return (no failure) a value whose err_est covers its true error (no
-under-report).
+under-report).  The truncated S_alpha sums at N = 500 must cover theirs
+too.
 """
 
 import importlib.util
@@ -14,9 +15,13 @@ import pytest
 pytest.importorskip("mpmath")
 
 from zetaprod.cli import ROUTES  # noqa: E402
+from zetaprod.series import EvalParams, s_alpha_truncated  # noqa: E402
 
 GRID_D = range(-1, 11)
 GRID_U = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
+# half-integer s keeps off S_d's poles s = 1..d+1
+S_GRID = [(d, s, u) for d in (0, 2, 5) for s in (0.5, 1.5, 2.5, 3.5)
+          for u in (0.05, 0.25, 1.0, 5.0)]
 
 
 def _load_oracle():
@@ -28,8 +33,12 @@ def _load_oracle():
 
 
 @pytest.fixture(scope="module")
-def reference():
-    oracle = _load_oracle()
+def oracle():
+    return _load_oracle()
+
+
+@pytest.fixture(scope="module")
+def reference(oracle):
     return {(d, u): oracle.log_z(d, u) for d in GRID_D for u in GRID_U}
 
 
@@ -54,3 +63,13 @@ def test_grid_has_no_failure_and_no_under_report(reference, route):
     assert under == []
     if route.name == "series":
         assert worst_rel <= 1e-14
+
+
+def test_s_alpha_truncated_err_est_covers_its_error(oracle):
+    under = []
+    for d, s, u in S_GRID:
+        a = s_alpha_truncated(EvalParams(float(d), u, s=s), 500)
+        error = abs(a.value - oracle.s_d(d, s, u))
+        if error > a.err_est:
+            under.append((d, s, u, error, a.err_est))
+    assert under == []
