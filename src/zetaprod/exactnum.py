@@ -1,19 +1,23 @@
 """Exact integer and rational kernels.
 
 Binomial coefficients, harmonic numbers, Bernoulli numbers and polynomials,
-and unsigned Stirling numbers of the first kind, all in exact arithmetic.
+Bernoulli numbers of the second kind (Gregory coefficients) and unsigned
+Stirling numbers of the first kind, all in exact arithmetic.
 These back both the floating-point evaluators (which convert on demand) and
 the exact identity tests, so nothing here ever rounds.
 
 Conventions:
   * Bernoulli numbers follow the x/(e^x - 1) generating function, so
     B_1 = -1/2 and B_k = 0 for odd k > 1.
+  * bernoulli_second(n) is b_n in y/log(1+y) = sum b_n y^n, so
+    b_1 = 1/2 and b_2 = -1/12.
   * stirling1_unsigned(n, m) is the coefficient of x^m in the rising
     factorial x(x+1)...(x+n-1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -24,6 +28,7 @@ __all__ = [
     "binomial",
     "bernoulli_number",
     "bernoulli_poly",
+    "bernoulli_second",
     "harmonic",
     "stirling1_unsigned",
 ]
@@ -147,3 +152,19 @@ def stirling1_unsigned(n: int, m: int) -> int:
                 row[j] += (nn - 1) * prev[j]
             _stirling_rows.append(row)
         return _stirling_rows[n][m]
+
+
+@functools.cache
+def bernoulli_second(n: int) -> Fraction:
+    """b_n in y/log(1+y) = sum b_n y^n (Gregory coefficients).
+
+    b_n = int_0^1 binom(x, n) dx = (1/n!) sum_k s(n, k)/(k+1), with the
+    signed Stirling numbers s(n, k) = (-1)^(n-k) stirling1_unsigned(n, k);
+    the sum is one integer over lcm(1..n+1).
+    """
+    if n < 0:
+        raise ValueError("bernoulli_second: n must be >= 0")
+    den = math.lcm(*range(1, n + 2))
+    num = sum((-1) ** (n - k) * stirling1_unsigned(n, k) * (den // (k + 1))
+              for k in range(n + 1))
+    return Fraction(num, den * math.factorial(n))

@@ -38,14 +38,15 @@ the second kind (the power-series coefficients of y/log(1+y)).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
+from .exactnum import bernoulli_second
 from .series import Approximation
 
 __all__ = [
@@ -133,40 +134,14 @@ class _Block(NamedTuple):
     starts: np.ndarray
 
 
-_node_cache: dict = {}
-_node_lock = threading.RLock()      # a block's build takes its levels' tables
-
-
-def _cached(key, build):
-    """The table under key, built once; the lock is taken only to build.
-
-    A dict get is atomic, and a table enters the dict complete and
-    read-only, so every pass reads it without the lock.
-    """
-    table = _node_cache.get(key)
-    if table is None:
-        with _node_lock:
-            table = _node_cache.get(key)
-            if table is None:
-                table = _node_cache[key] = build()
-    return table
-
-
 def _read_only(arrays: list) -> list:
     for arr in arrays:          # shared by every caller and thread
         arr.flags.writeable = False
     return arrays
 
 
+@functools.cache
 def _level_nodes(level: int) -> _Nodes:
-    return _cached(level, lambda: _build_level(level))
-
-
-def _block_nodes(top: int) -> _Block:
-    return _cached(("block", top), lambda: _build_block(top))
-
-
-def _build_level(level: int) -> _Nodes:
     h = 2.0 ** -level
     kmax = int(_TAU_MAX / h)
     ks = np.arange(-kmax, kmax + 1)
@@ -189,7 +164,8 @@ def _build_level(level: int) -> _Nodes:
     return _Nodes(*_read_only([x, w, eps, log_x, np.full(len(x), h)]))
 
 
-def _build_block(top: int) -> _Block:
+@functools.cache
+def _block_nodes(top: int) -> _Block:
     levels = [_level_nodes(level) for level in range(top + 1)]
     nodes = _Nodes(*_read_only([np.concatenate(col) for col in zip(*levels)]))
     starts = np.cumsum([0] + [len(n.x) for n in levels[:-1]])
@@ -286,23 +262,7 @@ def tanh_sinh_01(f, cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float, int]:
 # the guarded single-d bracket
 # --------------------------------------------------------------------------
 
-_bern2_cache: list[Fraction] = [Fraction(1)]
-_bracket_cache: dict[tuple[int, int], np.ndarray] = {}
-_coef_lock = threading.Lock()
-
-
-def _bernoulli_second(n: int) -> Fraction:
-    """Bernoulli numbers of the second kind: y/log(1+y) = sum b_n y^n."""
-    with _coef_lock:
-        while len(_bern2_cache) <= n:
-            m = len(_bern2_cache)
-            s = Fraction(0)
-            for k in range(m):
-                s += _bern2_cache[k] * Fraction((-1) ** (m - k), m - k + 1)
-            _bern2_cache.append(-s)
-        return _bern2_cache[n]
-
-
+@functools.cache
 def _bracket_series(d: int, nterms: int) -> np.ndarray:
     """Expansion coefficients beta_j of the single-d bracket around x = 1:
 
@@ -312,20 +272,14 @@ def _bracket_series(d: int, nterms: int) -> np.ndarray:
     second-kind Bernoulli numbers); beta_j = sum_{m=1}^d (-1)^(n-1) b_n / m
     with n = d+1+j-m.
     """
-    key = (d, nterms)
-    cached = _bracket_cache.get(key)
-    if cached is not None:
-        return cached
     coeffs = []
     for j in range(nterms):
         acc = Fraction(0)
         for m in range(1, d + 1):
             n = d + 1 + j - m
-            acc += Fraction((-1) ** (n - 1), m) * _bernoulli_second(n)
+            acc += Fraction((-1) ** (n - 1), m) * bernoulli_second(n)
         coeffs.append(float(acc))
-    out = np.array(coeffs)
-    _bracket_cache[key] = out
-    return out
+    return _read_only([np.array(coeffs)])[0]
 
 
 def _bracket_values(d: int, eps: np.ndarray, log_x: np.ndarray) -> np.ndarray:

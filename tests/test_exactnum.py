@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zetaprod.exactnum import (RationalPoly, bernoulli_number, bernoulli_poly,
-                               binomial, harmonic, stirling1_unsigned)
+                               bernoulli_second, binomial, harmonic,
+                               stirling1_unsigned)
 
 
 class TestBinomial:
@@ -78,6 +79,25 @@ class TestBernoulliPoly:
     def test_zero_poly_degree(self):
         assert RationalPoly.from_coeffs([]).degree == -1
         assert RationalPoly.from_coeffs([0, 0]).degree == -1
+
+
+class TestBernoulliSecond:
+    def test_first_values(self):
+        # y/log(1+y) = 1 + y/2 - y^2/12 + y^3/24 - 19 y^4/720 + 3 y^5/160 - ...
+        want = [Fraction(1), Fraction(1, 2), Fraction(-1, 12), Fraction(1, 24),
+                Fraction(-19, 720), Fraction(3, 160)]
+        assert [bernoulli_second(n) for n in range(6)] == want
+
+    def test_defining_identity(self):
+        # (y/log(1+y)) * (log(1+y)/y) = 1, with log(1+y)/y = sum (-y)^k/(k+1)
+        for n in range(101):
+            s = sum(bernoulli_second(k) * Fraction((-1) ** (n - k), n - k + 1)
+                    for k in range(n + 1))
+            assert s == (1 if n == 0 else 0), n
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError):
+            bernoulli_second(-1)
 
 
 class TestHarmonic:

@@ -6,7 +6,8 @@ import pytest
 from zetaprod.closedform import log_z_closed
 from zetaprod.hurwitz import euler_gamma, log_bendersky
 from zetaprod.quad import (_ABS_TOL, QuadConfig, QuadratureNonConvergence,
-                           _block_nodes, _level_nodes, _refine,
+                           _block_nodes, _bracket_series, _level_nodes,
+                           _refine,
                            integrate_double, integrate_elementary_half,
                            integrate_prelim, integrate_single_d, tanh_sinh_01)
 from zetaprod.series import EvalParams, log_z_direct
@@ -101,6 +102,8 @@ class TestEngine:
             return x
         with pytest.raises(ValueError, match="read-only"):
             tanh_sinh_01(f)
+        # and every single-d pass shares its bracket coefficients
+        assert not _bracket_series(3, 77).flags.writeable
 
     def test_batch_runs_each_row_like_a_single_integrand(self):
         # x^k for k = 0..4 as one (5, n) batch and as five (n,) integrands
