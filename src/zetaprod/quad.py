@@ -31,9 +31,10 @@ one step down, log z_{d-1} / log z_{alpha-1}):
                               = sum_{n>=1} log t_n(1)/(2n+1)  (alpha=1/2, u=1)
 
 Near x = 1 the single-d bracket is a cancellation of O((1-x)^-d) pieces with
-a finite limit; for 1-x below _EDGE_GUARD it is evaluated from its exact
-expansion in (1-x), whose coefficients come from the Bernoulli numbers of
-the second kind (the power-series coefficients of y/log(1+y)).
+a finite limit; for 1-x below _EDGE_GUARD = 0.3 it is evaluated from its
+exact expansion in (1-x), whose coefficients come from the Bernoulli numbers
+of the second kind (the power-series coefficients of y/log(1+y),
+exactnum.bernoulli_second).
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ __all__ = [
 
 _EPS = 2.0 ** -52
 
-# Below this distance 1-x from x = 1, the single-d bracket and the elementary
-# integrand are evaluated from their power series in 1-x.
-_EDGE_GUARD = 0.05
+# Below this distance 1-x from x = 1, _bracket_values (the single-d bracket)
+# and integrate_elementary_half's integrand are evaluated from their power
+# series in 1-x; both size their term counts from it.  Beyond it the bracket
+# cancels like (1-x)^-d, so the radius sets the single route's reach (target
+# d <= 11, declined past that in cli.ROUTES).
+_EDGE_GUARD = 0.3
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -374,7 +378,7 @@ def integrate_double(alpha: float, u: float,
 # --------------------------------------------------------------------------
 
 def _geom_tail_series_scaled(alpha: float, w: np.ndarray, tol: float) -> np.ndarray:
-    """w^-alpha G(w) = sum_{n>=1} w^n/(n+alpha) by direct series; w <= 0.6.
+    """w^-alpha G(w) = sum_{n>=1} w^n/(n+alpha) by direct series; w < 1.
 
     The w^alpha factor of G is kept out so the caller's division by
     (1-x)^alpha cancels symbolically (no overflow for alpha > 1 at the
@@ -418,20 +422,23 @@ def integrate_prelim(alpha: float, u: float,
         G(w) = int_0^w y^alpha/(1-y) dy = sum_{n>=1} w^(n+alpha)/(n+alpha).
 
     The value is log z_{alpha-1}(u).  G uses the direct series for
-    w <= 0.6 and the decomposition G = -log x - H(w) beyond it (H bounded,
-    one nested quadrature level at a tenth of the outer tolerance); -log x
-    dominates H there, so the subtraction is benign.
+    w <= max(0.6, 1 - 2/alpha) and the decomposition G = -log x - H(w)
+    beyond it (H bounded, one nested quadrature level at a tenth of the
+    outer tolerance).  -log x dominates H there, so the subtraction is
+    benign; nearer w = 1 at large alpha, G ~ w^alpha is far below -log x
+    and the subtraction would cancel, so the series runs that far.
     """
     if not alpha > -1:
         raise ValueError("integrate_prelim: requires alpha > -1")
     if not u > 0:
         raise ValueError("integrate_prelim: u must be > 0")
     inner_tol = _ABS_TOL / 10.0
+    split = 0.6 if alpha <= 5 else 1.0 - 2.0 / alpha
 
     def f(nodes):
         eps, log_x = nodes.eps, nodes.log_x            # w = 1 - x
         ratio = np.empty_like(eps)                     # G(w) / w^alpha
-        small = eps <= 0.6
+        small = eps <= split
         if small.any():
             ratio[small] = _geom_tail_series_scaled(alpha, eps[small], inner_tol)
         big = ~small

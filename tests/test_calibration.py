@@ -4,7 +4,9 @@ The reference is the benchmark's mpmath oracle (bench/oracle.py), loaded
 by path.  On the grid d = -1..10 x u in {0.05, ..., 10} every route asked
 must return (no failure) a value whose err_est covers its true error (no
 under-report).  The truncated S_alpha sums at N = 500 must cover theirs
-too.
+too.  The single and preliminary integrals are held to their reach and a
+relative error bound: they return on every cell, but on some their
+err_est still falls below the rounding floor of their integrand.
 """
 
 import importlib.util
@@ -19,6 +21,8 @@ from zetaprod.series import EvalParams, s_alpha_truncated  # noqa: E402
 
 GRID_D = range(-1, 11)
 GRID_U = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
+SINGLE_D = range(-1, 12)            # the single route's verified reach
+PRELIM_D = (15, 23, 32, 38, 47, 50)
 # half-integer s keeps off S_d's poles s = 1..d+1
 S_GRID = [(d, s, u) for d in (0, 2, 5) for s in (0.5, 1.5, 2.5, 3.5)
           for u in (0.05, 0.25, 1.0, 5.0)]
@@ -63,6 +67,45 @@ def test_grid_has_no_failure_and_no_under_report(reference, route):
     assert under == []
     if route.name == "series":
         assert worst_rel <= 1e-14
+
+
+def _failures_and_worst_rel(oracle, route_name, grid_d):
+    route = next(r for r in ROUTES if r.name == route_name)
+    failures, worst_rel = [], 0.0
+    for d in grid_d:
+        for u in GRID_U:
+            try:
+                a = route.evaluate(float(d), u)
+            except Exception as exc:  # a failure is counted, not raised
+                failures.append((d, u, repr(exc)))
+                continue
+            ref = oracle.log_z(d, u)
+            worst_rel = max(worst_rel, abs(a.value - ref) / abs(ref))
+    return failures, worst_rel
+
+
+def test_single_integral_returns_to_alpha_11(oracle):
+    """No failure and at most 2e-10 relative error up to alpha = 11.
+
+    Zero under-reports is not asserted: at u = 0.05 and at alpha >= 6,
+    u >= 2 the err_est stays below the rounding floor of the bracket.
+    """
+    failures, worst_rel = _failures_and_worst_rel(oracle, "integral-single",
+                                                  SINGLE_D)
+    assert failures == []
+    assert worst_rel <= 2e-10
+
+
+def test_prelim_integral_returns_to_alpha_50(oracle):
+    """No failure and at most 1e-13 relative error at large alpha.
+
+    Zero under-reports is not asserted: a few cells' err_est stays below
+    the rounding floor of the integrand.
+    """
+    failures, worst_rel = _failures_and_worst_rel(oracle, "integral-prelim",
+                                                  PRELIM_D)
+    assert failures == []
+    assert worst_rel <= 1e-13
 
 
 def test_s_alpha_truncated_err_est_covers_its_error(oracle):

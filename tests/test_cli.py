@@ -114,7 +114,7 @@ class TestEvalCommand:
 
 
 CLOSED = "closed form needs integer alpha >= 0"
-SINGLE = "single integral needs integer alpha >= -1"
+SINGLE = "single integral needs integer alpha in -1..11"
 DOUBLE = "double integral needs alpha > -2"
 PRELIM = "preliminary integral needs alpha > -2"
 EXCL_3 = "alpha = -3.0 is an excluded negative integer"
@@ -132,6 +132,8 @@ DECLINES = {
     0.5: (CLOSED, None, SINGLE, None, None),
     1.0: (None, None, None, None, None),
     6.0: (None, None, None, None, None),
+    11.0: (None, None, None, None, None),
+    12.0: (None, None, SINGLE, None, None),
 }
 
 

@@ -6,7 +6,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from zetaprod.exactnum import bernoulli_number, harmonic, stirling1_unsigned
+from zetaprod.exactnum import (bernoulli_number, bernoulli_second, harmonic,
+                               stirling1_unsigned)
 from zetaprod.hurwitz import hurwitz_zeta_deriv
 from zetaprod.quad import integrate_single_d
 from zetaprod.rstirling import row_by_gf
@@ -17,11 +18,14 @@ def _worker(seed: int):
     for i in range(6):
         k = (seed * 7 + i * 11) % 40
         out.append(bernoulli_number(k))
+        out.append(bernoulli_second(k))
         out.append(harmonic(k))
         out.append(stirling1_unsigned(k, k // 2))
         out.append(row_by_gf(k % 12, Fraction(1, 3)).coeffs)
     out.append(hurwitz_zeta_deriv(0.0, 1.0).deriv)
     out.append(integrate_single_d(1, 1.0).value)
+    # builds the d = 7 bracket coefficients from the Gregory numbers
+    out.append(integrate_single_d(7, 1.0).value)
     return out
 
 
@@ -33,4 +37,4 @@ def test_shared_tables_under_threads():
         assert results[seed] == _worker(seed)
     # spot exactness of a late-table entry after the stampede
     assert bernoulli_number(38) == Fraction(2929993913841559, 6)
-    assert abs(results[0][-2] + 0.5 * math.log(2 * math.pi)) < 1e-12
+    assert abs(results[0][-3] + 0.5 * math.log(2 * math.pi)) < 1e-12
