@@ -3,6 +3,7 @@ internally synchronized memo tables.  Hammer the shared tables and a few
 evaluators from several threads and check the results stay exact."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -30,8 +31,13 @@ def _worker(seed: int):
 
 
 def test_shared_tables_under_threads():
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(_worker, range(16)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)         # switch threads often mid-build
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(_worker, range(16)))
+    finally:
+        sys.setswitchinterval(interval)
     # same seed class -> identical exact results regardless of interleaving
     for seed in range(16):
         assert results[seed] == _worker(seed)
