@@ -21,8 +21,6 @@ from zetaprod.series import EvalParams, s_alpha_truncated  # noqa: E402
 
 GRID_D = range(-1, 11)
 GRID_U = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
-SINGLE_D = range(-1, 12)            # the single route's verified reach
-PRELIM_D = (15, 23, 32, 38, 47, 50)
 # half-integer s keeps off S_d's poles s = 1..d+1
 S_GRID = [(d, s, u) for d in (0, 2, 5) for s in (0.5, 1.5, 2.5, 3.5)
           for u in (0.05, 0.25, 1.0, 5.0)]
@@ -69,8 +67,22 @@ def test_grid_has_no_failure_and_no_under_report(reference, route):
         assert worst_rel <= 1e-14
 
 
-def _failures_and_worst_rel(oracle, route_name, grid_d):
-    route = next(r for r in ROUTES if r.name == route_name)
+# route -> (target d sampled, relative error bound); single stops at its
+# verified reach, alpha = 11
+REACH = {"integral-single": (range(-1, 12), 2e-10),
+         "integral-prelim": ((15, 23, 32, 38, 47, 50), 1e-13)}
+
+
+@pytest.mark.parametrize("name", REACH)
+def test_integral_returns_within_its_reach(oracle, name):
+    """No failure and a bounded relative error on every cell.
+
+    Zero under-reports is not asserted: on some cells (single: u = 0.05,
+    and alpha >= 6 with u >= 2) the err_est stays below the rounding floor
+    of the integrand.
+    """
+    grid_d, rel_bound = REACH[name]
+    route = next(r for r in ROUTES if r.name == name)
     failures, worst_rel = [], 0.0
     for d in grid_d:
         for u in GRID_U:
@@ -81,31 +93,8 @@ def _failures_and_worst_rel(oracle, route_name, grid_d):
                 continue
             ref = oracle.log_z(d, u)
             worst_rel = max(worst_rel, abs(a.value - ref) / abs(ref))
-    return failures, worst_rel
-
-
-def test_single_integral_returns_to_alpha_11(oracle):
-    """No failure and at most 2e-10 relative error up to alpha = 11.
-
-    Zero under-reports is not asserted: at u = 0.05 and at alpha >= 6,
-    u >= 2 the err_est stays below the rounding floor of the bracket.
-    """
-    failures, worst_rel = _failures_and_worst_rel(oracle, "integral-single",
-                                                  SINGLE_D)
     assert failures == []
-    assert worst_rel <= 2e-10
-
-
-def test_prelim_integral_returns_to_alpha_50(oracle):
-    """No failure and at most 1e-13 relative error at large alpha.
-
-    Zero under-reports is not asserted: a few cells' err_est stays below
-    the rounding floor of the integrand.
-    """
-    failures, worst_rel = _failures_and_worst_rel(oracle, "integral-prelim",
-                                                  PRELIM_D)
-    assert failures == []
-    assert worst_rel <= 1e-13
+    assert worst_rel <= rel_bound
 
 
 def test_s_alpha_truncated_err_est_covers_its_error(oracle):
