@@ -7,15 +7,18 @@ The zeta evaluator uses Euler-Maclaurin summation:
 
 with (s)_m the rising factorial, a head of N = 40 terms and at most J = 12
 corrections.  The s-derivative is the term-by-term analytic derivative of
-the same formula; rising factorials and their derivatives are tracked with
-explicit handling of zero factors so negative integer s (where the value
-series terminates but the derivative series does not) is evaluated without
-0/0.
+the same formula.  The rising factorials and their derivatives are built
+once per call, one factor at a time, with zero factors set apart, so
+negative integer s (where the value series terminates but the derivative
+series does not) is evaluated without 0/0.
 
-For s < -1/2 the head length is chosen adaptively, at most N: a long head makes the
-head/boundary cancellation swamp double precision, while a short head keeps
-rounding small and the (terminating or asymptotically truncated) correction
-series accurate.  err_est combines the first omitted/last kept correction
+For s < -1/2 the head length is chosen adaptively, at most N: a long head
+makes the head/boundary cancellation swamp double precision, while a short
+head keeps rounding small and the (terminating or asymptotically truncated)
+correction series accurate.  The candidate heads are prefixes of one
+another, so one pass over the head serves them all; each is completed with
+its own boundary and correction terms, and the one with the smallest
+err_est wins.  err_est combines the first omitted/last kept correction
 term with a head rounding estimate; it is a standard heuristic, not a
 rigorous bound.
 
@@ -70,88 +73,31 @@ _B2J_OVER_FACT = [
 ]
 
 
-def _rising_with_deriv(s: float, m: int) -> tuple[float, float]:
-    """(s)_m = s(s+1)...(s+m-1) and its derivative d/ds (s)_m.
+def _odd_rising(s: float, J: int) -> list[tuple[float, float]]:
+    """(s)_m and d/ds (s)_m for m = 1, 3, ..., 2J-1, one factor at a time.
 
-    Zero factors at integer s are handled explicitly: with one zero factor
-    the product is 0 and the derivative is the product of the remaining
-    factors; with two or more zeros both vanish.
+    (s)_m = s(s+1)...(s+m-1); its derivative is (s)_m sum 1/(s+l).  At
+    integer s one factor may be zero: it stays out of the running product
+    and sum, so with one zero factor the derivative is the product of the
+    others, and with two or more both vanish.
     """
-    if m <= 0:
-        return 1.0, 0.0
-    zero_idx = None
-    prod_nonzero = 1.0
-    for l in range(m):
+    out = []
+    prod, dsum, zeros = 1.0, 0.0, 0
+    for l in range(2 * J - 1):
         f = s + l
         if f == 0.0:
-            if zero_idx is not None:
-                return 0.0, 0.0
-            zero_idx = l
+            zeros += 1
         else:
-            prod_nonzero *= f
-    if zero_idx is not None:
-        return 0.0, prod_nonzero
-    # logarithmic differentiation: P' = P * sum 1/(s+l)
-    dsum = 0.0
-    for l in range(m):
-        dsum += 1.0 / (s + l)
-    return prod_nonzero, prod_nonzero * dsum
-
-
-def _em_eval(s: float, u: float, N: int, J: int, want_deriv: bool):
-    """One Euler-Maclaurin evaluation at fixed head length N.
-
-    Returns (value, deriv_or_None, err_est).  The correction series is
-    truncated adaptively: terms are added while they shrink (asymptotic
-    series discipline), never past J.
-    """
-    head = 0.0
-    dhead = 0.0
-    head_mag = 0.0
-    for k in range(N):
-        x = k + u
-        lx = math.log(x)
-        p = x ** (-s)
-        head += p
-        head_mag += abs(p)
-        if want_deriv:
-            dhead -= lx * p
-    P = N + u
-    lP = math.log(P)
-    p1 = P ** (1.0 - s)
-    p0 = P ** (-s)
-    value = head + p1 / (s - 1.0) + 0.5 * p0
-    deriv = None
-    if want_deriv:
-        deriv = dhead + p1 * (-lP / (s - 1.0) - 1.0 / (s - 1.0) ** 2) - 0.5 * lP * p0
-
-    # Bernoulli corrections with adaptive stop.
-    prev_mag = math.inf
-    trunc = 0.0
-    scale = p0 / P  # (N+u)^(-s-1), then divide by P^2 each step
-    for j in range(1, J + 1):
-        rf, drf = _rising_with_deriv(s, 2 * j - 1)
-        b = _B2J_OVER_FACT[j]
-        term_v = b * rf * scale
-        term_d = b * (drf - rf * lP) * scale if want_deriv else 0.0
-        mag = max(abs(term_v), abs(term_d))
-        if mag > prev_mag:
-            # asymptotic series started growing: stop before this term and
-            # charge the first omitted term to the error estimate
-            trunc = mag
-            break
-        value += term_v
-        if want_deriv:
-            deriv += term_d
-        prev_mag = mag
-        trunc = mag
-        scale /= P * P
-    rounding = head_mag * _EPS * (4.0 + (abs(lP) if want_deriv else 0.0))
-    err = trunc + rounding
-    return value, deriv, err
+            prod *= f
+            dsum += 1.0 / f
+        if l % 2 == 0:
+            out.append((prod, prod * dsum) if zeros == 0
+                       else (0.0, prod) if zeros == 1 else (0.0, 0.0))
+    return out
 
 
 def _candidate_heads(s: float) -> list[int]:
+    """Head lengths to try, ascending; each is a prefix of the next."""
     N = _EM_N
     if s >= -0.5:
         return [N]
@@ -159,20 +105,64 @@ def _candidate_heads(s: float) -> list[int]:
     # precision for strongly negative s; try a few and keep the best.
     base = max(2, math.ceil((2 * _EM_J + abs(s)) / (2 * math.pi)))
     cands = sorted({2, 3, max(2, base // 2), base, min(N, 2 * base), N})
-    return [c for c in cands if c <= N] or [N]
+    return [c for c in cands if c <= N]
 
 
 def _zeta_em(s: float, u: float, want_deriv: bool):
+    """(value, deriv_or_None, err_est) of the best candidate head.
+
+    The correction series is truncated adaptively: terms are added while
+    they shrink (asymptotic series discipline), never past J.
+    """
     if u <= 0.0:
         raise ValueError("hurwitz zeta: u must be > 0")
     if s == 1.0:
         raise ValueError("hurwitz zeta: s = 1 is the pole; use digamma for "
                          "the regularized combination")
+    rising = _odd_rising(s, _EM_J)
     best = None
-    for N in _candidate_heads(s):
-        res = _em_eval(s, u, N, _EM_J, want_deriv)
-        if best is None or res[2] < best[2]:
-            best = res
+    head = dhead = head_mag = 0.0
+    k = 0
+    for N in _candidate_heads(s):  # ascending: one pass sums every head
+        while k < N:
+            x = k + u
+            p = x ** (-s)
+            head += p
+            head_mag += abs(p)
+            if want_deriv:
+                dhead -= math.log(x) * p
+            k += 1
+        P = N + u
+        lP = math.log(P)
+        p1 = P ** (1.0 - s)
+        p0 = P ** (-s)
+        value = head + p1 / (s - 1.0) + 0.5 * p0
+        deriv = None
+        if want_deriv:
+            deriv = (dhead + p1 * (-lP / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
+                     - 0.5 * lP * p0)
+        prev_mag = math.inf
+        trunc = 0.0
+        scale = p0 / P  # (N+u)^(-s-1), then divide by P^2 each step
+        for b, (rf, drf) in zip(_B2J_OVER_FACT[1:], rising):
+            term_v = b * rf * scale
+            term_d = b * (drf - rf * lP) * scale if want_deriv else 0.0
+            mag = max(abs(term_v), abs(term_d))
+            if mag > prev_mag:
+                # asymptotic series started growing: stop before this term
+                # and charge the first omitted term to the error estimate
+                trunc = mag
+                break
+            value += term_v
+            if want_deriv:
+                deriv += term_d
+            prev_mag = mag
+            trunc = mag
+            scale /= P * P
+        rounding = head_mag * _EPS * (4.0 + (abs(lP) if want_deriv else 0.0))
+        err = trunc + rounding
+        if best is None or err < best[2]:
+            best = (value, deriv, err)
     return best
 
 

@@ -194,6 +194,105 @@ class TestRefinement:
         assert abs(a.value - b.value) <= a.err_est
 
 
+def rising_with_deriv(s: float, m: int) -> tuple[float, float]:
+    """(s)_m and d/ds (s)_m rebuilt from l = 0, zero factors set apart."""
+    if m <= 0:
+        return 1.0, 0.0
+    zero_idx = None
+    prod_nonzero = 1.0
+    for l in range(m):
+        f = s + l
+        if f == 0.0:
+            if zero_idx is not None:
+                return 0.0, 0.0
+            zero_idx = l
+        else:
+            prod_nonzero *= f
+    if zero_idx is not None:
+        return 0.0, prod_nonzero
+    dsum = 0.0
+    for l in range(m):
+        dsum += 1.0 / (s + l)
+    return prod_nonzero, prod_nonzero * dsum
+
+
+def em_eval(s: float, u: float, N: int, J: int, want_deriv: bool):
+    """One complete Euler-Maclaurin sum at head length N."""
+    head = 0.0
+    dhead = 0.0
+    head_mag = 0.0
+    for k in range(N):
+        x = k + u
+        lx = math.log(x)
+        p = x ** (-s)
+        head += p
+        head_mag += abs(p)
+        if want_deriv:
+            dhead -= lx * p
+    P = N + u
+    lP = math.log(P)
+    p1 = P ** (1.0 - s)
+    p0 = P ** (-s)
+    value = head + p1 / (s - 1.0) + 0.5 * p0
+    deriv = None
+    if want_deriv:
+        deriv = (dhead + p1 * (-lP / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
+                 - 0.5 * lP * p0)
+    prev_mag = math.inf
+    trunc = 0.0
+    scale = p0 / P
+    for j in range(1, J + 1):
+        rf, drf = rising_with_deriv(s, 2 * j - 1)
+        b = float(bernoulli_number(2 * j)) / math.factorial(2 * j)
+        term_v = b * rf * scale
+        term_d = b * (drf - rf * lP) * scale if want_deriv else 0.0
+        mag = max(abs(term_v), abs(term_d))
+        if mag > prev_mag:
+            trunc = mag
+            break
+        value += term_v
+        if want_deriv:
+            deriv += term_d
+        prev_mag = mag
+        trunc = mag
+        scale /= P * P
+    rounding = head_mag * hurwitz._EPS * (4.0 + (abs(lP) if want_deriv
+                                                 else 0.0))
+    return value, deriv, trunc + rounding
+
+
+def zeta_per_head(s: float, u: float, want_deriv: bool):
+    """A complete sum for each candidate head; the smallest err_est wins."""
+    best = None
+    for N in hurwitz._candidate_heads(s):
+        res = em_eval(s, u, N, hurwitz._EM_J, want_deriv)
+        if best is None or res[2] < best[2]:
+            best = res
+    return best
+
+
+class TestOnePassMatchesPerHead:
+    GRID_U = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
+
+    @pytest.mark.parametrize("u", GRID_U)
+    def test_bit_identical_to_a_sum_per_head(self, u):
+        """The one-pass evaluator equals a separate sum per candidate head.
+
+        s = -49, -48.5, ..., 4 spans every candidate-head regime and the
+        zero factors of (s)_m at integer s <= 0.  Once Hurwitz's formula
+        serves s << 0 (ROADMAP item 1), this narrows to the s where
+        Euler-Maclaurin still answers.
+        """
+        for i in range(107):
+            s = -49.0 + 0.5 * i
+            if s == 1.0:
+                continue
+            z = hurwitz_zeta(s, u)
+            zd = hurwitz_zeta_deriv(s, u)
+            assert (z.value, z.deriv, z.err_est) == zeta_per_head(s, u, False)
+            assert (zd.value, zd.deriv, zd.err_est) == zeta_per_head(s, u, True)
+
+
 class TestStdlibOnlyImports:
     # the exact and special-function modules need only the standard
     # library, so importing one must not load numpy or the routes
