@@ -308,15 +308,11 @@ def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
 
     The exact-sum route (alternating sums of 50-digit powers) serves
     n <= ALTERNATING_MAX_N and the normalized integral every n beyond it.
-    Positive-integer powers m = 1-s terminate exactly (D_n = 0 for n > m),
+    Integer powers m = 1-s >= 0 terminate exactly (D_n = 0 for n > m),
     and that exact zero is used directly for every such n: the 50-digit
     sums would leave rounding noise there, and the Gamma normalization
     degenerates.
     """
-    if s == 1.0:
-        out = np.zeros(N + 1)
-        out[0] = 1.0
-        return out
     out = np.empty(N + 1)
     cap = min(N, ALTERNATING_MAX_N)
     out[:cap + 1] = _inner_diff_alternating(cap, s, u)
@@ -388,7 +384,7 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     weights = 1.0 / (ns + p.alpha + 1.0)
     value = math.fsum(inner * weights)
     rounding = 1e-15 * (1.0 + abs(value))
-    if p.s == 1.0 or (float(p.s) == int(p.s) and p.s <= 1.0 and N > 1 - p.s):
+    if float(p.s) == int(p.s) and p.s <= 1.0 and N > 1 - p.s:
         return Approximation(value, rounding, N + 1)  # terminated exactly
     # C: the median of |D_n| n^u (log n)^(2-s) over n in [N/10, N], with
     # log n read at n >= 2, where it is positive.  With n = N e^t the tail

@@ -370,8 +370,10 @@ class TestSAlphaTruncated:
             s_alpha_truncated(EvalParams(-1.0, 1.0, s=2.0), 10)
 
     def test_s_equal_one_is_exact(self):
-        a = s_alpha_truncated(EvalParams(0.5, 2.0, s=1.0), 10)
-        assert a.value == pytest.approx(1.0 / 1.5, abs=1e-15)
+        # N = 500 runs past the alternating sums' cap
+        for N in (10, 500):
+            a = s_alpha_truncated(EvalParams(0.5, 2.0, s=1.0), N)
+            assert a.value == pytest.approx(1.0 / 1.5, abs=1e-15)
 
 
 class TestInnerSumAnnihilation:
