@@ -1,9 +1,12 @@
-"""Calibration of the closed and series routes against a 30-digit reference.
+"""Calibration of the routes against a 30-digit reference.
 
 The reference is the benchmark's mpmath oracle (bench/oracle.py), loaded
-by path.  On the grid d = -1..10 x u in {0.05, ..., 10} every route asked
-must return (no failure) a value whose err_est covers its true error (no
-under-report).  The truncated S_alpha sums at N = 500 must cover theirs
+by path and evaluated once per cell, on d = -1..11 and FAR_D out to
+|alpha| = 50, x u in {0.05, ..., 10}.  On every cell the closed and series
+routes must return (no failure) a value whose err_est covers its true
+error (no under-report).  The double integral must return on every cell
+with u >= 0.5 and never under-report where it returns; at u <= 0.25 it
+overflows.  The truncated S_alpha sums at N = 500 must cover their error
 too.  The single and preliminary integrals are held to their reach and a
 relative error bound: they return on every cell, but on some their
 err_est still falls below the rounding floor of their integrand.
@@ -19,7 +22,8 @@ pytest.importorskip("mpmath")
 from zetaprod.cli import ROUTES  # noqa: E402
 from zetaprod.series import EvalParams, s_alpha_truncated  # noqa: E402
 
-GRID_D = range(-1, 11)
+GRID_D = range(-1, 12)
+FAR_D = (15, 23, 32, 38, 47, 50)
 GRID_U = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 # half-integer s keeps off S_d's poles s = 1..d+1
 S_GRID = [(d, s, u) for d in (0, 2, 5) for s in (0.5, 1.5, 2.5, 3.5)
@@ -41,7 +45,8 @@ def oracle():
 
 @pytest.fixture(scope="module")
 def reference(oracle):
-    return {(d, u): oracle.log_z(d, u) for d in GRID_D for u in GRID_U}
+    return {(d, u): oracle.log_z(d, u) for d in (*GRID_D, *FAR_D)
+            for u in GRID_U}
 
 
 @pytest.mark.parametrize("route", [r for r in ROUTES
@@ -67,14 +72,32 @@ def test_grid_has_no_failure_and_no_under_report(reference, route):
         assert worst_rel <= 1e-14
 
 
+def test_double_returns_from_u_half_and_never_under_reports(reference):
+    # its failures at u <= 0.25 are the inner integrand's overflow
+    route = next(r for r in ROUTES if r.name == "integral-double")
+    missing, under = [], []
+    for (d, u), ref in reference.items():
+        try:
+            a = route.evaluate(float(d), u)
+        except Exception as exc:  # a failure is counted, not raised
+            if u >= 0.5:
+                missing.append((d, u, repr(exc)))
+            continue
+        error = abs(a.value - ref)
+        if error > a.err_est:
+            under.append((d, u, error, a.err_est))
+    assert missing == []
+    assert under == []
+
+
 # route -> (target d sampled, relative error bound); single stops at its
 # verified reach, alpha = 11
-REACH = {"integral-single": (range(-1, 12), 2e-10),
-         "integral-prelim": ((15, 23, 32, 38, 47, 50), 1e-13)}
+REACH = {"integral-single": (GRID_D, 2e-10),
+         "integral-prelim": (FAR_D, 1e-13)}
 
 
 @pytest.mark.parametrize("name", REACH)
-def test_integral_returns_within_its_reach(oracle, name):
+def test_integral_returns_within_its_reach(reference, name):
     """No failure and a bounded relative error on every cell.
 
     Zero under-reports is not asserted: on some cells (single: u = 0.05,
@@ -91,7 +114,7 @@ def test_integral_returns_within_its_reach(oracle, name):
             except Exception as exc:  # a failure is counted, not raised
                 failures.append((d, u, repr(exc)))
                 continue
-            ref = oracle.log_z(d, u)
+            ref = reference[d, u]
             worst_rel = max(worst_rel, abs(a.value - ref) / abs(ref))
     assert failures == []
     assert worst_rel <= rel_bound
