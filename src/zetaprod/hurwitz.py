@@ -8,9 +8,9 @@ The zeta evaluator uses Euler-Maclaurin summation:
 with (s)_m the rising factorial, a head of N = 40 terms and at most J = 12
 corrections.  The s-derivative is the term-by-term analytic derivative of
 the same formula.  The rising factorials and their derivatives are built
-once per call, one factor at a time, with zero factors set apart, so
-negative integer s (where the value series terminates but the derivative
-series does not) is evaluated without 0/0.
+once per call, one factor at a time by the product rule, with no division,
+so negative integer s (where the value series terminates but the
+derivative series does not) and tiny s need no special case.
 
 For s < -1/2 the head length is chosen adaptively, at most N: a long head
 makes the head/boundary cancellation swamp double precision, while a short
@@ -76,23 +76,18 @@ _B2J_OVER_FACT = [
 def _odd_rising(s: float, J: int) -> list[tuple[float, float]]:
     """(s)_m and d/ds (s)_m for m = 1, 3, ..., 2J-1, one factor at a time.
 
-    (s)_m = s(s+1)...(s+m-1); its derivative is (s)_m sum 1/(s+l).  At
-    integer s one factor may be zero: it stays out of the running product
-    and sum, so with one zero factor the derivative is the product of the
-    others, and with two or more both vanish.
+    (s)_m = s(s+1)...(s+m-1).  Each factor f = s+l takes (P, P') to
+    (P f, P' f + P) by the product rule, so the derivative needs no
+    division: a zero factor at integer s leaves P' the product of the
+    others, and a tiny s cannot overflow a reciprocal.
     """
     out = []
-    prod, dsum, zeros = 1.0, 0.0, 0
+    prod, dprod = 1.0, 0.0
     for l in range(2 * J - 1):
         f = s + l
-        if f == 0.0:
-            zeros += 1
-        else:
-            prod *= f
-            dsum += 1.0 / f
+        prod, dprod = prod * f, dprod * f + prod
         if l % 2 == 0:
-            out.append((prod, prod * dsum) if zeros == 0
-                       else (0.0, prod) if zeros == 1 else (0.0, 0.0))
+            out.append((prod, dprod))
     return out
 
 

@@ -34,7 +34,8 @@ Near x = 1 the single-d bracket is a cancellation of O((1-x)^-d) pieces with
 a finite limit; for 1-x below _EDGE_GUARD = 0.3 it is evaluated from its
 exact expansion in (1-x), whose coefficients come from the Bernoulli numbers
 of the second kind (the power-series coefficients of y/log(1+y),
-exactnum.bernoulli_second).
+exactnum.bernoulli_second).  Each coefficient is a sum of terms of one sign,
+so summing them as floats loses nothing measurable.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -274,15 +274,13 @@ def _bracket_series(d: int, nterms: int) -> np.ndarray:
 
     All negative powers cancel exactly (the defining recurrence of the
     second-kind Bernoulli numbers); beta_j = sum_{m=1}^d (-1)^(n-1) b_n / m
-    with n = d+1+j-m.
+    with n = d+1+j-m.  Since (-1)^(n-1) b_n > 0 for n >= 1, every term is
+    |b_n| / m > 0, so an fsum of the float terms is within an ulp of the
+    exact sum.
     """
-    coeffs = []
-    for j in range(nterms):
-        acc = Fraction(0)
-        for m in range(1, d + 1):
-            n = d + 1 + j - m
-            acc += Fraction((-1) ** (n - 1), m) * bernoulli_second(n)
-        coeffs.append(float(acc))
+    coeffs = [math.fsum(abs(float(bernoulli_second(d + 1 + j - m))) / m
+                        for m in range(1, d + 1))
+              for j in range(nterms)]
     return _read_only([np.array(coeffs)])[0]
 
 

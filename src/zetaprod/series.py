@@ -233,23 +233,17 @@ def _halfline_nodes(u: float, n_max: int, s: float = 2.0):
     return t, w
 
 
-# OpenBLAS runs a matrix product of at most 2^18 multiply-adds (65536 x its
-# default GEMM_MULTITHREAD_THRESHOLD of 4) in the calling thread.  A larger
-# one starts worker threads that spin on the other cores between calls, so
-# the series route's timings swing with the host's load, and its rounding
-# depends on the thread count.
-_BLAS_BLOCK = 2 ** 18
-
-
 def _power_sums(base: np.ndarray, c: np.ndarray, n_lo: int,
                 n_hi: int) -> np.ndarray:
-    """sum_j c_j base_j^n for n = n_lo..n_hi as one matrix product.
+    """sum_j c_j base_j^n for n = n_lo..n_hi as one product of two tables.
 
     With n = n_lo + jK + i and K = isqrt(count), base^n = base^(n_lo+jK) *
-    base^i: two small np.power tables and one (J x nodes) @ (nodes x K)
+    base^i: two small np.power tables and one (J x nodes) x (nodes x K)
     product.  Every power is one pow call, so its rounding does not grow
-    with n as a chained product's would.  The product runs in row blocks
-    of at most _BLAS_BLOCK multiply-adds (see there).
+    with n as a chained product's would.  The product is an einsum, numpy's
+    own loop in the calling thread: as a BLAS product a large sweep would
+    start OpenBLAS's worker threads, which spin on the other cores between
+    calls, and its rounding would depend on the thread count.
     """
     count = n_hi - n_lo + 1
     K = math.isqrt(count)
@@ -257,11 +251,7 @@ def _power_sums(base: np.ndarray, c: np.ndarray, n_lo: int,
     lo = np.power(base, np.arange(K, dtype=float)[:, None])
     lo *= c
     hi = np.power(base, (n_lo + K * np.arange(J, dtype=float))[:, None])
-    out = np.empty((J, K))
-    step = max(1, _BLAS_BLOCK // (K * base.size))
-    for j in range(0, J, step):
-        np.matmul(hi[j:j + step], lo.T, out=out[j:j + step])
-    return out.ravel()[:count]
+    return np.einsum("jn,kn->jk", hi, lo).ravel()[:count]
 
 
 def log_tn_sweep(u: float, n_max: int) -> np.ndarray:

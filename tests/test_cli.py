@@ -369,9 +369,11 @@ class TestStirlingCommand:
 
 class TestZetaCommand:
     def test_deriv_at_zero(self, capsys):
-        code, out, _ = run(capsys, "zeta", "--s", "0", "--u", "1", "--deriv")
-        assert code == EXIT_PASS
-        assert abs(float(out) + 0.5 * math.log(2 * math.pi)) < 1e-12
+        # "--s=" keeps argparse from reading -1e-320 as an option
+        for s_args in (("--s", "0"), ("--s", "1e-320"), ("--s=-1e-320",)):
+            code, out, _ = run(capsys, "zeta", *s_args, "--u", "1", "--deriv")
+            assert code == EXIT_PASS, s_args
+            assert abs(float(out) + 0.5 * math.log(2 * math.pi)) < 1e-12
 
     def test_pole_exit_2(self, capsys):
         code, _, err = run(capsys, "zeta", "--s", "1", "--u", "1")

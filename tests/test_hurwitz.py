@@ -79,9 +79,11 @@ class TestHurwitzZetaDeriv:
 class TestLerchIdentity:
     @pytest.mark.parametrize("u", [0.25, 0.5, 1.0, 1.5, 2.0, 3.7])
     def test_deriv_matches_log_gamma_route(self, u):
-        lhs = hurwitz_zeta_deriv(0.0, u).deriv
         rhs = log_gamma(u) - HALF_LOG_2PI
-        assert abs(lhs - rhs) < 1e-10
+        # a subnormal s must not overflow the derivative of (s)_m
+        for s in (0.0, 1e-320, -1e-320):
+            lhs = hurwitz_zeta_deriv(s, u).deriv
+            assert abs(lhs - rhs) < 1e-10, s
 
 
 class TestNegativeIntegerValues:
@@ -194,26 +196,35 @@ class TestRefinement:
         assert abs(a.value - b.value) <= a.err_est
 
 
+class TestOddRising:
+    def test_matches_exact_products(self):
+        """(s)_m = prod_l (s+l) and its derivative sum_l prod_{i!=l} (s+i),
+        each formed in exact rationals, on s = -49, -48.5, ..., 4 and
+        m = 1, 3, ..., 2 _EM_J - 1; a zero factor gives a value of 0."""
+        for i in range(107):
+            s = -49.0 + 0.5 * i
+            got = hurwitz._odd_rising(s, hurwitz._EM_J)
+            for j, (rf, drf) in enumerate(got):
+                factors = [Fraction(s) + l for l in range(2 * j + 1)]
+                value = math.prod(factors)
+                terms = [math.prod(factors[:l] + factors[l + 1:])
+                         for l in range(len(factors))]
+                if value == 0:
+                    assert rf == 0.0, (s, j)
+                else:
+                    rel = abs(Fraction(rf) - value) / abs(value)
+                    assert rel <= 2e-15, (s, j)
+                bound = 4e-15 * sum(abs(t) for t in terms)
+                assert abs(Fraction(drf) - sum(terms)) <= bound, (s, j)
+
+
 def rising_with_deriv(s: float, m: int) -> tuple[float, float]:
-    """(s)_m and d/ds (s)_m rebuilt from l = 0, zero factors set apart."""
-    if m <= 0:
-        return 1.0, 0.0
-    zero_idx = None
-    prod_nonzero = 1.0
+    """(s)_m and d/ds (s)_m rebuilt from l = 0 by the product rule."""
+    prod, dprod = 1.0, 0.0
     for l in range(m):
         f = s + l
-        if f == 0.0:
-            if zero_idx is not None:
-                return 0.0, 0.0
-            zero_idx = l
-        else:
-            prod_nonzero *= f
-    if zero_idx is not None:
-        return 0.0, prod_nonzero
-    dsum = 0.0
-    for l in range(m):
-        dsum += 1.0 / (s + l)
-    return prod_nonzero, prod_nonzero * dsum
+        prod, dprod = prod * f, dprod * f + prod
+    return prod, dprod
 
 
 def em_eval(s: float, u: float, N: int, J: int, want_deriv: bool):

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zetaprod.closedform import log_z_closed
+from zetaprod.exactnum import bernoulli_second
 from zetaprod.hurwitz import euler_gamma, log_bendersky
 from zetaprod.quad import (_ABS_TOL, QuadConfig, QuadratureNonConvergence,
                            _block_nodes, _bracket_series, _level_nodes,
@@ -254,6 +256,27 @@ class TestSingleD:
         q = integrate_single_d(d + 1, u)
         c = log_z_closed(d, u)
         assert abs(q.value - c.value) < 1e-8
+
+
+def bracket_series_exact(d: int, nterms: int) -> list[float]:
+    """beta_j summed in exact rationals, each rounded once to a float."""
+    coeffs = []
+    for j in range(nterms):
+        acc = Fraction(0)
+        for m in range(1, d + 1):
+            n = d + 1 + j - m
+            acc += Fraction((-1) ** (n - 1), m) * bernoulli_second(n)
+        coeffs.append(float(acc))
+    return coeffs
+
+
+class TestBracketSeries:
+    @pytest.mark.parametrize("d", range(1, 12))
+    def test_float_sum_matches_exact_sum(self, d):
+        ref = bracket_series_exact(d, 77)
+        got = _bracket_series(d, 77)
+        for j, r in enumerate(ref):
+            assert abs(got[j] - r) <= 1e-15 * abs(r), (j, got[j], r)
 
 
 class TestDouble:
