@@ -7,8 +7,8 @@ values of shape (n,)) or a batch of m integrands on shared nodes (shape
 (m, n)), as the nested passes of the double and preliminary routes do.
 Levels 0-3, which every pass sums before its first stop test, are one
 evaluation of the integrand on their concatenated nodes; from level 4 on,
-each level is one evaluation.  The double integral's outer pass still runs
-one inner pass per outer level (see integrate_double).
+each level is one evaluation, and a batch evaluates only its rows that
+have not yet converged to round-off (see _refine).
 Each level's nodes are cached with the complements 1-x and log x, computed
 from the distance to the nearest endpoint without cancellation, so
 endpoint-singular factors such as x^(u-1) or (1-x)^(-d) stay stable at node
@@ -176,39 +176,33 @@ def _block_nodes(top: int) -> _Block:
     return _Block(nodes, *_read_only([starts]))
 
 
-def _split_levels(nodes: _Nodes) -> list[_Nodes]:
-    """A node set cut into runs of one level each (one run for a level)."""
-    cuts = np.flatnonzero(np.diff(nodes.h)) + 1
-    return [_Nodes(*(arr[a:b] for arr in nodes))
-            for a, b in zip([0, *cuts], [*cuts, len(nodes.h)])]
-
-
 def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     """Sum f over the tanh-sinh levels, halving the step until they agree.
 
-    f(nodes) gives the integrand at a set of nodes: shape (n,) for one
-    integrand, (m, n) for a batch, so the value has shape () or (m,).  From
-    level 3 (_FIRST_STOP) on, refinement stops once max(|change| * weight)
-    <= tol; weight is a scalar or one factor per batch row.  Returns
-    (value, change, nodes_used).  Raises QuadratureNonConvergence when
-    level_max is exhausted, with the partial value of one integrand; a
-    batch reports nan, since its rows are pieces of an outer integrand and
-    estimate nothing.
+    f(nodes) gives one integrand at a set of nodes, shape (n,), for a value
+    of shape (); a batch of m integrands gives (m, n) for (m,).  From level
+    3 (_FIRST_STOP) on, a batch row stops with its value once its change,
+    times weight (a scalar or one factor per row), is <= tol and its own
+    change is at round-off (<= 64 eps |value|); the deeper levels, which
+    could only round it, call f(nodes, rows) on the live rows only.  Returns
+    (value, change, nodes_used) once every live row meets tol.  Raises
+    QuadratureNonConvergence past level_max, with the partial value of one
+    integrand (a batch reports nan: its rows are pieces of an outer one).
 
     Levels 0..min(3, level_max), which every pass sums before its first
-    stop test, are one call of f on their concatenated nodes, each node
-    carrying the step h of its own level.  A reduceat sums each level's run
-    of nodes and a cumsum forms the running sums, so every test below sees
-    the level sums of a level-by-level pass, and no node above level_max is
-    evaluated.  (A zero-padded (n, levels) weight matrix would not do: an
-    inf at a level-3 node would make 0 * inf = nan in the sums of levels
-    0-2.)  From level 4 on, each level is its own call.
+    stop test, are one call f(block) on every row and their concatenated
+    nodes, each node carrying its own level's step h.  A reduceat sums each
+    level's run of nodes and a cumsum forms the running sums, so every test
+    below sees the level sums of a level-by-level pass, and no node above
+    level_max is evaluated.  (A zero-padded (n, levels) weight matrix would
+    not do: an inf at a level-3 node would make 0 * inf = nan in the sums
+    of levels 0-2.)  From level 4 on, each level is its own call.
 
     The pass also stops at the first level whose running sum holds an inf
-    or nan (the deep nodes of a small-u double integral overflow exp):
-    every later sum stays non-finite, so the change can never meet tol and
-    the deeper levels could not alter the outcome.  That raise reports the
-    level reached, with value and err_est nan.
+    or nan on a live row (the deep nodes of a small-u double integral
+    overflow exp): every later sum stays non-finite, so the change can
+    never meet tol and the deeper levels could not alter the outcome.  That
+    raise reports the level reached, with value and err_est nan.
 
     Each level sum is numpy's own loop in the calling thread (an einsum, or
     a product and a reduceat for the block).  As a BLAS product it would
@@ -218,28 +212,39 @@ def _refine(f, cfg: QuadConfig, tol: float, weight=1.0):
     """
     top = min(_FIRST_STOP, cfg.level_max)
     block, starts = _block_nodes(top)
-    running = np.cumsum(np.add.reduceat(f(block) * block.w, starts, axis=-1),
-                        axis=-1)
+    fx = f(block)
+    batch = np.ndim(fx) == 2
+    # one integrand runs as a batch of one row, which sums bit for bit alike
+    running = np.cumsum(np.add.reduceat(np.atleast_2d(fx) * block.w, starts,
+                                        axis=-1), axis=-1)
+    value = np.zeros(len(running))
+    live = np.arange(len(running))
+    weight = np.broadcast_to(weight, live.shape)
     nodes_used = len(block.x)
     change = math.inf
     for level in range(cfg.level_max + 1):
         if level <= top:
-            S = running[..., level]
+            S = running[:, level]
         else:
             nodes = _level_nodes(level)
-            S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
+            fx = f(nodes, live) if batch else f(nodes)
+            S = S + np.einsum("...n,n->...", np.atleast_2d(fx), nodes.w)
             nodes_used += len(nodes.x)
-        value = 2.0 ** -level * S
         if not np.all(np.isfinite(S)):
             raise QuadratureNonConvergence(math.nan, math.nan, level,
                                            non_finite=True)
+        new = 2.0 ** -level * S
+        step = np.abs(new - value[live])
+        value[live] = new
         if level >= _FIRST_STOP:
-            change = float(np.max(np.abs(value - prev) * weight))
-            if change <= tol:
-                return value, change, nodes_used
-        prev = value
-    partial = math.nan if np.ndim(value) else float(value)
-    raise QuadratureNonConvergence(partial, change, cfg.level_max)
+            change = step * weight[live]
+            if np.max(change) <= tol:
+                out = value if batch else value[0]
+                return out, float(np.max(change)), nodes_used
+            keep = (change > tol) | (step > 64.0 * _EPS * np.abs(new))
+            live, S = live[keep], S[keep]
+    raise QuadratureNonConvergence(math.nan if batch else float(value[0]),
+                                   float(np.max(change)), cfg.level_max)
 
 
 def tanh_sinh_01(f, cfg: QuadConfig = DEFAULT_QUAD) -> tuple[float, float, int]:
@@ -333,14 +338,12 @@ def integrate_double(alpha: float, u: float,
                      cfg: QuadConfig = DEFAULT_QUAD) -> Approximation:
     """Double-integral route; the value is log z_{alpha-1}(u), alpha > -1.
 
-    Iterated tanh-sinh: the inner (q) quadrature runs once per outer level,
-    vectorized across that level's new outer (p) nodes, and its convergence
-    is measured in the outer-weighted norm so that deep, negligible-weight
-    outer nodes cannot stall refinement.  The outer block of levels 0-3 is
-    one outer call but still four inner passes: an inner pass refines until
-    its slowest row converges, and one pass over all four levels' rows would
-    carry the extreme level-0 outer nodes to inner depths where (pq)^(u-1)
-    overflows.
+    Iterated tanh-sinh: each outer (p) call, the block of levels 0-3 among
+    them, is one inner (q) pass vectorized across its outer nodes.  Inner
+    convergence is measured in the outer-weighted norm, so that deep,
+    negligible-weight outer nodes cannot stall refinement, and an inner row
+    stops at round-off: the extreme level-0 outer rows stop long before the
+    inner depths where (pq)^(u-1) overflows.
     """
     if not alpha > -1:
         raise ValueError("integrate_double: requires alpha > -1")
@@ -349,25 +352,21 @@ def integrate_double(alpha: float, u: float,
     inner_tol = _ABS_TOL / 10.0
 
     def inner_pass(p):
-        eps_p = p.eps[:, None]
-        log_p = p.log_x[:, None]
-        log_eps_p = np.log(p.eps)[:, None]
+        columns = (p.eps[:, None], p.log_x[:, None], np.log(p.eps)[:, None])
 
-        def inner(q):
+        def inner(q, rows=slice(None)):
+            eps_p, log_p, log_eps_p = (col[rows] for col in columns)
             log_pq = log_p + q.log_x[None, :]
             one_minus_pq = eps_p + q.eps[None, :] - eps_p * q.eps[None, :]
             expo = (alpha * (log_eps_p - np.log(one_minus_pq))
                     + (u - 1.0) * log_pq)
             return -np.exp(expo) / log_pq
 
-        # the non-finite guard stays off here: at small u the deep nodes
+        # no non-finite guard here: at small u a live row's deep nodes
         # overflow to inf, and that must end in QuadratureNonConvergence
         return _refine(inner, cfg, inner_tol, p.w * p.h)[0]
 
-    def outer(p):
-        return np.concatenate([inner_pass(part) for part in _split_levels(p)])
-
-    value, err, nodes_used = tanh_sinh_01(outer, cfg)
+    value, err, nodes_used = tanh_sinh_01(inner_pass, cfg)
     return Approximation(value, err, nodes_used)
 
 
@@ -403,11 +402,11 @@ def _bounded_ratio_integral(alpha: float, w: np.ndarray, xcomp: np.ndarray,
     log_w = np.log1p(-xcomp)[:, None]
     xcomp, w = xcomp[:, None], w[:, None]
 
-    def F(v):
-        log_y = log_w + v.log_x[None, :]
-        one_minus_y = xcomp + w * v.eps[None, :]
+    def F(v, rows=slice(None)):
+        log_y = log_w[rows] + v.log_x[None, :]
+        one_minus_y = xcomp[rows] + w[rows] * v.eps[None, :]
         num = -np.expm1(alpha * log_y)                # 1 - y^alpha
-        return w * num / one_minus_y
+        return w[rows] * num / one_minus_y
 
     return _refine(F, cfg, tol)[0]
 

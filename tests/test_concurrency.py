@@ -11,7 +11,7 @@ from fractions import Fraction
 from zetaprod.exactnum import (bernoulli_number, bernoulli_second, harmonic,
                                stirling1_unsigned)
 from zetaprod.hurwitz import hurwitz_zeta_deriv
-from zetaprod.quad import integrate_single_d
+from zetaprod.quad import integrate_double, integrate_prelim, integrate_single_d
 from zetaprod.rstirling import row_by_gf
 from zetaprod.series import log_tn_sweep
 
@@ -33,6 +33,9 @@ def _worker(seed: int):
     out.append(log_tn_sweep(0.05, 3000).tobytes())
     # (s)_m with a zero factor
     out.append(hurwitz_zeta_deriv(-3.0, 0.5).deriv)
+    # each inner pass keeps its own set of live rows
+    out.append(integrate_double(1.5, 0.7).value)
+    out.append(integrate_prelim(2.5, 0.6).value)
     return out
 
 
@@ -49,4 +52,4 @@ def test_shared_tables_under_threads():
         assert results[seed] == _worker(seed)
     # spot exactness of a late-table entry after the stampede
     assert bernoulli_number(38) == Fraction(2929993913841559, 6)
-    assert abs(results[0][-5] + 0.5 * math.log(2 * math.pi)) < 1e-12
+    assert abs(results[0][-7] + 0.5 * math.log(2 * math.pi)) < 1e-12

@@ -7,7 +7,8 @@ import pytest
 from zetaprod.closedform import log_z_closed
 from zetaprod.exactnum import bernoulli_second
 from zetaprod.hurwitz import euler_gamma, log_bendersky
-from zetaprod.quad import (_ABS_TOL, QuadConfig, QuadratureNonConvergence,
+from zetaprod import quad
+from zetaprod.quad import (_ABS_TOL, _EPS, QuadConfig, QuadratureNonConvergence,
                            _block_nodes, _bracket_series, _level_nodes,
                            _refine,
                            integrate_double, integrate_elementary_half,
@@ -50,29 +51,34 @@ class TestEngine:
             tanh_sinh_01(lambda n: np.where(n.x > 0.5, np.inf, n.x))
 
     def test_batch_nonconvergence_has_no_partial_value(self):
-        # a batch's rows are pieces of an outer integrand, not an estimate
-        cfg = QuadConfig(level_max=2)
+        # a batch's rows are pieces of an outer integrand, not an estimate;
+        # at level_max 2 the pass ends in the block, at 5 on its live rows
         freqs = np.array([50.0, 60.0])[:, None]
-        with pytest.raises(QuadratureNonConvergence) as exc:
-            _refine(lambda n: np.cos(freqs * n.x), cfg, 1e-14)
-        assert math.isnan(exc.value.value)
+        for level_max in (2, 5):
+            with pytest.raises(QuadratureNonConvergence) as exc:
+                _refine(lambda n, rows=slice(None): np.cos(freqs[rows] * n.x),
+                        QuadConfig(level_max=level_max), 1e-14)
+            assert math.isnan(exc.value.value)
+            assert exc.value.level == level_max
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_non_finite_sum_stops_at_its_level(self, k):
-        # one row turns inf at a node of level k; no later level could
-        # converge, so the pass stops there instead of summing out to
+        # one live row turns inf at a node of level k; no later level
+        # could converge, so the pass stops there instead of summing out to
         # level_max.  Levels 0-3 are one call of f, so the inf goes to the
         # first node whose step h is that of level k
-        freqs = np.array([50.0, 60.0])[:, None]
+        freqs = np.array([50.0, 60.0])
         calls = []
 
-        def f(n):
+        def f(n, rows=slice(None)):
+            live = np.arange(2)[rows]
             calls.append(n.h)
-            rows = np.cos(freqs * n.x)
+            out = np.cos(freqs[live, None] * n.x)
             at_k = np.flatnonzero(n.h == 2.0 ** -k)
             if len(at_k):
-                rows[1, at_k[0]] = np.inf
-            return rows
+                assert 1 in live
+                out[live == 1, at_k[0]] = np.inf
+            return out
 
         with pytest.raises(QuadratureNonConvergence) as exc:
             _refine(f, QuadConfig(), 1e-14)
@@ -85,11 +91,13 @@ class TestEngine:
     def test_finite_batch_runs_to_convergence(self):
         # the same rows without the inf: the early stop never fires, and
         # they need more than the 5 levels the stop test cuts them at
-        freqs = np.array([50.0, 60.0])
+        freqs = np.array([50.0, 60.0])[:, None]
         value, change, nodes = _refine(
-            lambda n: np.cos(freqs[:, None] * n.x), QuadConfig(), 1e-14)
+            lambda n, rows=slice(None): np.cos(freqs[rows] * n.x),
+            QuadConfig(), 1e-14)
         assert change <= 1e-14
-        assert np.allclose(value, np.sin(freqs) / freqs, rtol=0, atol=1e-13)
+        assert np.allclose(value, np.sin(freqs[:, 0]) / freqs[:, 0], rtol=0,
+                           atol=1e-13)
         assert nodes > sum(len(_level_nodes(level).x) for level in range(6))
 
     def test_config_validation(self):
@@ -111,10 +119,12 @@ class TestEngine:
         # x^k for k = 0..4 as one (5, n) batch and as five (n,) integrands
         cfg = QuadConfig()
         powers = np.arange(5)[:, None]
-        batch, _, nodes = _refine(lambda n: n.x ** powers, cfg, _ABS_TOL)
+        batch, _, nodes = _refine(
+            lambda n, rows=slice(None): n.x ** powers[rows], cfg, _ABS_TOL)
         singles = [_refine(lambda n, k=k: n.x ** k, cfg, _ABS_TOL)
                    for k in range(5)]
-        # the batch refines until its slowest row has converged
+        # the batch refines until its slowest row has converged; a row that
+        # stops sooner stops at round-off
         assert nodes == max(s[2] for s in singles)
         for k, (value, _, _) in enumerate(singles):
             # numpy's einsum sums a batch row and a single integrand in
@@ -123,16 +133,94 @@ class TestEngine:
             assert abs(batch[k] - value) <= 4 * np.spacing(exact)
             assert abs(batch[k] - exact) <= 4 * np.spacing(exact)
 
+    @staticmethod
+    def _square_and_cos50(inf_from_level=None):
+        """Rows x^2 (at round-off by level 4) and cos(50 x) (past level 5),
+        with a log of the original rows each call evaluates.  From
+        inf_from_level on, the x^2 row returns inf."""
+        calls = []
+
+        def f(n, rows=slice(None)):
+            live = np.arange(2)[rows]
+            calls.append(live)
+            out = np.cos(50.0 * n.x) * np.ones((len(live), 1))
+            square = n.x ** 2
+            if inf_from_level is not None:
+                square = np.where(n.h <= 2.0 ** -inf_from_level, np.inf,
+                                  square)
+            out[live == 0] = square
+            return out
+
+        return f, calls
+
+    def test_stopped_row_is_not_evaluated_at_deeper_levels(self):
+        f, calls = self._square_and_cos50()
+        value, change, _ = _refine(f, QuadConfig(), 1e-14)
+        with_square = [0 in live for live in calls]
+        # the x^2 row is in the block and level 4, then in no later call;
+        # the cos row runs on alone
+        assert with_square == [True, True] + [False] * (len(calls) - 2)
+        assert all(1 in live for live in calls) and len(calls) > 3
+        assert change <= 1e-14
+        assert abs(value[0] - 1.0 / 3.0) <= 4 * np.spacing(1.0 / 3.0)
+        assert abs(value[1] - math.sin(50.0) / 50.0) <= 1e-14
+
+    def test_inf_past_a_stopped_row_does_not_fail_the_pass(self):
+        # past level 4 the x^2 row would return inf: it has stopped, so the
+        # pass never sees it, while a pass that refines every row fails
+        f, _ = self._square_and_cos50(inf_from_level=5)
+        value, _, _ = _refine(f, QuadConfig(), 1e-14)
+        assert abs(value[0] - 1.0 / 3.0) <= 4 * np.spacing(1.0 / 3.0)
+        with pytest.raises(QuadratureNonConvergence) as exc:
+            _all_rows_refine(f, QuadConfig(), 1e-14)
+        assert exc.value.level == 5
+
 
 def _level_by_level(f, cfg, tol, weight=1.0):
-    """Reference pass: one call of f per level, each level's new nodes only."""
-    S = 0.0
-    change = math.inf
+    """Reference pass: one call of f per level on every row, each level's
+    new nodes only.  A row stops where _refine's rule stops it and keeps
+    the value it stopped at; the tests read the live rows only."""
+    S = value = 0.0
+    live = np.True_
+    change = np.array(math.inf)
     nodes_used = 0
     for level in range(cfg.level_max + 1):
         nodes = _level_nodes(level)
         S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
         nodes_used += len(nodes.x)
+        if not np.all(np.isfinite(S[live])):
+            raise QuadratureNonConvergence(math.nan, math.nan, level,
+                                           non_finite=True)
+        new = 2.0 ** -level * S
+        step = np.abs(new - value)
+        value = np.where(live, new, value)
+        if level >= 3:
+            change = step * weight
+            if np.max(change[live]) <= tol:
+                return value, float(np.max(change[live])), nodes_used
+            live = live & ((change > tol) | (step > 64 * _EPS * np.abs(new)))
+    partial = math.nan if np.ndim(value) else float(value)
+    raise QuadratureNonConvergence(partial, float(np.max(change[live])),
+                                   cfg.level_max)
+
+
+def _all_rows_refine(f, cfg, tol, weight=1.0):
+    """Reference pass with no per-row stop: every row is refined, block
+    included, until the slowest one meets tol, as the double integral's
+    inner passes were before their rows stopped on their own."""
+    top = min(3, cfg.level_max)
+    block, starts = _block_nodes(top)
+    running = np.cumsum(np.add.reduceat(f(block) * block.w, starts, axis=-1),
+                        axis=-1)
+    nodes_used = len(block.x)
+    change = math.inf
+    for level in range(cfg.level_max + 1):
+        if level <= top:
+            S = running[..., level]
+        else:
+            nodes = _level_nodes(level)
+            S = S + np.einsum("...n,n->...", f(nodes), nodes.w)
+            nodes_used += len(nodes.x)
         value = 2.0 ** -level * S
         if not np.all(np.isfinite(S)):
             raise QuadratureNonConvergence(math.nan, math.nan, level,
@@ -144,6 +232,13 @@ def _level_by_level(f, cfg, tol, weight=1.0):
         prev = value
     partial = math.nan if np.ndim(value) else float(value)
     raise QuadratureNonConvergence(partial, change, cfg.level_max)
+
+
+def _split_levels(nodes):
+    """A node set cut into runs of one level each."""
+    cuts = np.flatnonzero(np.diff(nodes.h)) + 1
+    return [quad._Nodes(*(arr[a:b] for arr in nodes))
+            for a, b in zip([0, *cuts], [*cuts, len(nodes.h)])]
 
 
 def _close(a, b):
@@ -173,11 +268,16 @@ class TestBlock:
         cfg = QuadConfig()
         weight = np.array([1.0, 1e-3, 1e3])
 
-        def f(n):
+        calls = []
+
+        def f(n, rows=slice(None)):
+            calls.append(np.arange(3)[rows])
             return np.stack([self._peaked(n), np.cos(10.0 * n.x),
-                             np.exp(-0.5 * n.log_x) * np.log(n.eps)])
+                             np.exp(-0.5 * n.log_x) * np.log(n.eps)])[rows]
 
         value, _, nodes = _refine(f, cfg, _ABS_TOL, weight)
+        # a row stops before the pass does
+        assert len(calls[-1]) < 3
         ref, _, ref_nodes = _level_by_level(f, cfg, _ABS_TOL, weight)
         assert nodes == ref_nodes
         assert _close(value, ref)
@@ -309,9 +409,10 @@ class TestDouble:
         with pytest.raises(ValueError):
             integrate_double(1.0, -2.0)
 
-    def test_outer_block_keeps_one_inner_pass_per_level(self):
-        # one inner pass over all four outer levels' rows would refine the
-        # extreme level-0 rows until (pq)^(u-1) overflows, and fail here
+    def test_outer_block_is_one_inner_pass_near_u_045(self):
+        # the rows of all four outer block levels share one inner pass; its
+        # extreme level-0 rows stop at round-off long before the inner
+        # depths where (pq)^(u-1) overflows, so the pass converges here
         alpha, u = 2.4234451881690724, 0.45046872250034004
         d = integrate_double(alpha, u)
         p = integrate_prelim(alpha, u)
@@ -326,6 +427,29 @@ class TestDouble:
         except QuadratureNonConvergence:
             return
         assert math.isfinite(a.value)
+
+
+class TestDoubleMatchesAllRowsPasses:
+    """integrate_double against the same integral refined the way it was
+    before its inner rows stopped on their own: every inner row until the
+    slowest meets tol, and one inner pass per outer level (one pass over
+    the whole outer block would overflow at u = 0.45)."""
+
+    @pytest.mark.parametrize("alpha,u", [
+        (1.0, 1.0), (3.0, 0.5), (6.0, 2.0), (11.0, 10.0), (31.0, 5.0),
+        (2.4234451881690724, 0.45046872250034004)])
+    def test_values_within_1e14(self, alpha, u, monkeypatch):
+        got = integrate_double(alpha, u).value
+
+        def one_pass_per_level(f, cfg):
+            return tanh_sinh_01(
+                lambda p: np.concatenate([f(run) for run in _split_levels(p)]),
+                cfg)
+
+        monkeypatch.setattr(quad, "_refine", _all_rows_refine)
+        monkeypatch.setattr(quad, "tanh_sinh_01", one_pass_per_level)
+        ref = integrate_double(alpha, u).value
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 class TestPrelim:
