@@ -13,7 +13,8 @@ from zetaprod.exactnum import (bernoulli_number, bernoulli_second, harmonic,
 from zetaprod.hurwitz import hurwitz_zeta_deriv
 from zetaprod.quad import integrate_double, integrate_prelim, integrate_single_d
 from zetaprod.rstirling import row_by_gf
-from zetaprod.series import log_tn_sweep
+from zetaprod.series import (DifferenceMethod, EvalParams, log_tn,
+                             log_tn_sweep, s_alpha_truncated)
 
 
 def _worker(seed: int):
@@ -25,6 +26,10 @@ def _worker(seed: int):
         out.append(harmonic(k))
         out.append(stirling1_unsigned(k, k // 2))
         out.append(row_by_gf(k % 12, Fraction(1, 3)).coeffs)
+    # decimal powers and logs against the shared base, each thread in its
+    # own localcontext
+    out.append(s_alpha_truncated(EvalParams(0.5, 0.7, s=2.5), 60).value)
+    out.append(log_tn(40, 0.3, DifferenceMethod.ALTERNATING))
     out.append(hurwitz_zeta_deriv(0.0, 1.0).deriv)
     out.append(integrate_single_d(1, 1.0).value)
     # builds the d = 7 bracket coefficients from the Gregory numbers

@@ -201,22 +201,94 @@ class TestExactAlternatingSums:
             assert series._alternating_sums(f) == [math.inf, -math.inf, -math.inf]
 
 
-class TestSeededPowers:
-    """Non-integral powers from a float seed and two exps agree with
-    Decimal's own ** taken at 60 digits."""
+POWER_S = [0.5, 1.5, 2.3, 60.5, 10000.5, -3.7, 0.999999]
+# u < 1 gives negative j at k = 0; u = 1e6 gives j near 1.4e7
+POWER_U = [1e-6, 0.05, 1.0, 10.0, 1e3, 1e6]
 
-    @pytest.mark.parametrize("s", [0.5, 1.5, 2.3, 60.5, 10000.5])
-    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+
+class TestSeededPowers:
+    """Non-integral powers from the float-seeded reduction x = B^j (1 + d)
+    agree with Decimal's own ** taken at 60 digits."""
+
+    def test_step_is_exact(self):
+        assert Fraction(series._STEP) == 1 + Fraction(1, 2 ** 20)
+
+    @pytest.mark.parametrize("s", POWER_S)
+    @pytest.mark.parametrize("u", POWER_U)
     def test_within_1e_47_of_60_digits(self, s, u):
-        for k in range(ALTERNATING_MAX_N + 1):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            xs = [_dec50(u) + k for k in range(ALTERNATING_MAX_N + 1)]
+            e = Decimal(1) - _dec50(s)
+            got = series._powers(xs, e)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for k, (x, g) in enumerate(zip(xs, got)):
+                want = x ** e
+                assert abs((g - want) / want) <= Decimal("1e-47"), (s, u, k)
+
+
+class TestSeededLogs:
+    """ln x = j ln B + log1p(d) agrees with Decimal's own ln at 60 digits,
+    also next to x = 1, where d's error is largest against ln x."""
+
+    @pytest.mark.parametrize("u", POWER_U + [1 - 6e-7, 1 - 3e-7, 1 + 3e-7,
+                                             1 + 8e-7, 0.7])
+    def test_within_1e_47_of_60_digits(self, u):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            xs = [_dec50(u) + k for k in range(ALTERNATING_MAX_N + 1)]
+            got = series._logs(xs)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for k, (x, g) in enumerate(zip(xs, got)):
+                want = x.ln()
+                assert abs(g - want) <= Decimal("1e-47") * abs(want), (u, k)
+
+
+def two_exp_power(x, e):
+    """x**e from a float seed E = log(float(x)) and two decimal exps, the
+    method the seeded reduction replaced: exp(e E) (1 + d)^e with
+    d = x exp(-E) - 1."""
+    E = Decimal(math.log(float(x)))
+    with localcontext() as ctx:
+        ctx.prec += max(0, (abs(e) * (1 + abs(E))).adjusted() - 1)
+        d = x * (-E).exp() - 1
+        tiny = Decimal(1).scaleb(-(ctx.prec + 2))
+        total = term = Decimal(1)
+        j = 0
+        while abs(term) > tiny * abs(total):
+            term *= (e - j) / (j + 1) * d
+            total += term
+            j += 1
+        power = (e * E).exp() * total
+    return +power
+
+
+def _pin_points():
+    """30 points with s in (0.5, 3), the s of the shift_identity checks
+    (s and s - 1 over s in (1.5, 3)), and 20 with s in (-3.5, 6); log u
+    uniform on [0.05, 10]."""
+    rng = random.Random(20)
+    log_u = math.log(0.05), math.log(10.0)
+    return [(rng.uniform(lo, hi), math.exp(rng.uniform(*log_u)))
+            for lo, hi in [(0.5, 3.0)] * 30 + [(-3.5, 6.0)] * 20]
+
+
+class TestSeededMatchesTwoExps:
+    """The n <= 40 block of D_n(s,u) equals, bit for bit, the exact sums
+    over powers from the two-exp method."""
+
+    def test_blocks_bit_identical(self):
+        for s, u in _pin_points():
             with localcontext() as ctx:
                 ctx.prec = 50
-                x, e = _dec50(u) + k, Decimal(1) - _dec50(s)
-                got = series._seeded_power(x, e)
-            with localcontext() as ctx:
-                ctx.prec = 60
-                want = x ** e
-                assert abs((got - want) / want) <= Decimal("1e-47"), (s, u, k)
+                e = Decimal(1) - _dec50(s)
+                want = series._alternating_sums(
+                    [two_exp_power(_dec50(u) + k, e)
+                     for k in range(ALTERNATING_MAX_N + 1)])
+            assert series._inner_diff_alternating(
+                ALTERNATING_MAX_N, s, u) == want, (s, u)
 
 
 class TestMedian:
