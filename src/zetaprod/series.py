@@ -15,12 +15,13 @@ are provided and cross-checked:
     (k+u)^(1-s) or ln(k+u), each computed once per point for every n;
     capped at n <= 40.  The sums themselves are exact (integer forward
     differences on the values' common decimal grid), so cancellation
-    cannot pollute them, and each is rounded once to a float.  Each k+u is
-    B^j (1+d) with B = 1 + 2^-20, j from a float log and |d| < 4.8e-7: a
-    non-integral power is (B^e)^j (1+d)^e, one non-integral power B^e per
-    block plus two integer powers and a short binomial series per value,
-    and a log is j ln B + log1p(d).  Guard digits derived from the largest
-    |j| and |e| keep each value within 5.1e-50 relative of the exact one.
+    cannot pollute them, and each is rounded once to a float.  A log is
+    Decimal's own ln.  For a non-integral power each k+u is B^j (1+d) with
+    B = 1 + 2^-20, j from a float log and |d| < 4.8e-7, and the power is
+    (B^e)^j (1+d)^e: one non-integral power B^e per block plus two integer
+    powers and a short binomial series per value.  Guard digits derived
+    from the largest |j| and |e| keep each value within 5.2e-50 relative
+    of the exact one.
   * frullani_quadrature: the integral representations
 
         log t_n(u) = int_0^inf (1-e^-t)^n e^(-ut) dt/t          (n >= 1)
@@ -129,8 +130,8 @@ class Approximation:
 
 _DEC_PREC = 50
 
-# Every decimal power and log of the n <= 40 sums is reduced against the
-# integer powers of one exact base B = 1 + 2^-20.
+# Every non-integral decimal power of the n <= 40 sums is reduced against
+# the integer powers of one exact base B = 1 + 2^-20.
 _STEP = Decimal("1.00000095367431640625")
 _LN_STEP = math.log1p(2.0 ** -20)
 
@@ -165,17 +166,6 @@ def _alternating_sums(f: list[Decimal]) -> list[float]:
     return sums
 
 
-def _reduce(xs: list[Decimal]) -> tuple[list[int], list[Decimal]]:
-    """j and d with x = B^j (1 + d) for each x > 0.
-
-    j = round(ln x / ln B) comes from the float log, so |d| < 4.8e-7, and
-    d = x B^-j - 1 is formed in the caller's context, within 1.5 ulps of
-    1 + d.
-    """
-    js = [round(math.log(float(x)) / _LN_STEP) for x in xs]
-    return js, [x * _STEP ** -j - 1 for x, j in zip(xs, js)]
-
-
 def _poly(coefs: list[Decimal], t: Decimal) -> Decimal:
     """sum_i coefs[i] t^i by Horner's rule, in the caller's context."""
     acc = coefs[-1]
@@ -186,62 +176,48 @@ def _poly(coefs: list[Decimal], t: Decimal) -> Decimal:
 
 def _powers(xs: list[Decimal], e: Decimal) -> list[Decimal]:
     """x**e for every x of an ascending list and a non-integral e, each
-    rounded once to the caller's precision (within 5.1e-50 relative of the
+    rounded once to the caller's precision (within 5.2e-50 relative of the
     exact power at 50 digits).
 
-    With x = B^j (1 + d) from _reduce, x^e = (B^e)^j (1 + d)^e.  B^e is the
-    list's one non-integral power (Decimal's **), (B^e)^j and B^-j are
-    integer powers, and (1 + d)^e is its binomial series in d, summed until
-    a term falls below an ulp.  The work runs on guard digits: in ulps,
-    B^e's rounding grows |j|-fold in (B^e)^j, that of 1 + d |e|-fold in
-    (1 + d)^e, and the series adds one per term, under 100 in all; the
-    series' terms outgrow its value by at most exp(2 |e d|) < 10^(|e| 2^-21).
-    The guard takes the largest |j| (from the ends of the list) and |e|,
-    and holds the sum of all of these below 10^-51 relative.
+    Each x is reduced as B^j (1 + d): j = round(ln x / ln B) from the float
+    log, so |d| < 4.8e-7, and d = x B^-j - 1 is within 1.5 ulps of 1 + d.
+    Then x^e = (B^e)^j (1 + d)^e.  B^e is the list's one non-integral power
+    (Decimal's **), (B^e)^j and B^-j are integer powers, and (1 + d)^e is
+    its binomial series in d.  Two errors make up the 2e-51 relative
+    before the final rounding (at 50 digits):
+
+      * rounding, run on guard digits: in ulps, B^e's rounding grows
+        |j|-fold in (B^e)^j, that of 1 + d |e|-fold in (1 + d)^e, and the
+        series adds one per term, under 100 in all; the series' terms
+        outgrow its value by at most exp(2 |e d|) < 10^(|e| 2^-21).  The
+        guard takes the largest |j| (from the ends of the list) and |e|,
+        and holds these below 10^-(prec+1) relative;
+      * truncation: the series ends before the first term that is at
+        most 10^-(prec+1) / 2 of its value at the largest |d| and from
+        which on each term is at most half the one before.  The terms
+        left out sum below 10^-(prec+1) relative, and each one kept is
+        above that bound at the largest |d|.
     """
     ea = float(abs(e))
     lmax = max(-math.log(float(xs[0])), math.log(float(xs[-1])))
     with localcontext() as ctx:
-        ctx.prec += (3 + int(math.log10(lmax / _LN_STEP + 2 * ea + 100))
-                     + math.ceil(ea / 2 ** 21))
-        js, ds = _reduce(xs)
+        swing = math.ceil(ea / 2 ** 21)
+        tol = Decimal(5).scaleb(-(ctx.prec + 2 + swing))
+        ctx.prec += 3 + int(math.log10(lmax / _LN_STEP + 2 * ea + 100)) + swing
+        js = [round(math.log(float(x)) / _LN_STEP) for x in xs]
+        ds = [x * _STEP ** -j - 1 for x, j in zip(xs, js)]
         dmax = max(map(abs, ds))
-        tiny = Decimal(1).scaleb(-ctx.prec)
-        # C(e, i) while |C(e, i)| dmax^i > tiny; from there on each term is
-        # at most half the one before, so the terms left out sum below tiny
-        coefs, term, i = [Decimal(1)], Decimal(1), 0
-        while term > tiny or 2 * abs(e - i) * dmax > i + 1:
-            coefs.append(coefs[-1] * (e - i) / (i + 1))
+        coefs, i = [Decimal(1)], 0
+        while True:
+            c = coefs[-1] * (e - i) / (i + 1)
             i += 1
-            term = abs(coefs[-1]) * dmax ** i
+            if (abs(c) * dmax ** i <= tol
+                    and 2 * abs(e - i) * dmax <= i + 1):
+                break
+            coefs.append(c)
         step_e = _STEP ** e
         powers = [step_e ** j * _poly(coefs, d) for j, d in zip(js, ds)]
     return [+p for p in powers]
-
-
-def _logs(xs: list[Decimal]) -> list[Decimal]:
-    """ln x for every x, each rounded once to the caller's precision (within
-    5.1e-50 relative of the exact log at 50 digits).
-
-    With x = B^j (1 + d) from _reduce, ln x = j ln B + log1p(d), and ln B =
-    log1p(2^-20) comes from the same series as log1p(d).  d's error of 1.5
-    ulps is absolute: against |ln x| >= ln(B)/2 (j != 0; at j = 0, d = x - 1
-    is exact) it is at most 3.2e6 ulps of ln x, and 9 guard digits hold the
-    whole error below 10^-51 relative.
-    """
-    with localcontext() as ctx:
-        ctx.prec += 9
-        h = _STEP - 1
-        tiny = Decimal(1).scaleb(-ctx.prec)
-        # log1p(t) = t sum_i (-t)^i / (i+1); |t| <= h, so h^n bounds the rest
-        n = 1
-        while h ** n > tiny:
-            n += 1
-        coefs = [Decimal((-1) ** i) / (i + 1) for i in range(n)]
-        ln_step = h * _poly(coefs, h)
-        js, ds = _reduce(xs)
-        logs = [j * ln_step + d * _poly(coefs, d) for j, d in zip(js, ds)]
-    return [+y for y in logs]
 
 
 def _log_tn_alternating(n_max: int, u: float) -> list[float]:
@@ -249,8 +225,7 @@ def _log_tn_alternating(n_max: int, u: float) -> list[float]:
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
         uu = _decimal_of(u)
-        logs = _logs([uu + k for k in range(n_max + 1)])
-        return _alternating_sums([-y for y in logs])
+        return _alternating_sums([-(uu + k).ln() for k in range(n_max + 1)])
 
 
 def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
@@ -258,7 +233,7 @@ def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
 
     An integral power e = 1-s is Decimal's own **, a few multiplications.
     The non-integral ones come from _powers: one non-integral power B^e for
-    the block, and each value within 5.1e-50 relative on guard digits
+    the block, and each value within 5.2e-50 relative on guard digits
     derived from the block's largest |j| and |e|.
     """
     with localcontext() as ctx:

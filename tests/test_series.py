@@ -208,7 +208,7 @@ POWER_U = [1e-6, 0.05, 1.0, 10.0, 1e3, 1e6]
 
 class TestSeededPowers:
     """Non-integral powers from the float-seeded reduction x = B^j (1 + d)
-    agree with Decimal's own ** taken at 60 digits."""
+    agree with Decimal's own ** taken at 60 and 70 digits."""
 
     def test_step_is_exact(self):
         assert Fraction(series._STEP) == 1 + Fraction(1, 2 ** 20)
@@ -227,23 +227,28 @@ class TestSeededPowers:
                 want = x ** e
                 assert abs((g - want) / want) <= Decimal("1e-47"), (s, u, k)
 
-
-class TestSeededLogs:
-    """ln x = j ln B + log1p(d) agrees with Decimal's own ln at 60 digits,
-    also next to x = 1, where d's error is largest against ln x."""
-
-    @pytest.mark.parametrize("u", POWER_U + [1 - 6e-7, 1 - 3e-7, 1 + 3e-7,
-                                             1 + 8e-7, 0.7])
-    def test_within_1e_47_of_60_digits(self, u):
-        with localcontext() as ctx:
-            ctx.prec = 50
-            xs = [_dec50(u) + k for k in range(ALTERNATING_MAX_N + 1)]
-            got = series._logs(xs)
-        with localcontext() as ctx:
-            ctx.prec = 60
+    @pytest.mark.parametrize("s", POWER_S)
+    def test_correctly_rounded_off_the_boundaries(self, s):
+        """Before its rounding to 50 digits each power is within 2e-51
+        relative of the exact one, so it is the correctly rounded power
+        wherever the exact one is farther than that from a rounding
+        boundary; a binomial term left out breaks this."""
+        for u in POWER_U:
+            with localcontext() as ctx:
+                ctx.prec = 50
+                xs = [_dec50(u) + k for k in range(ALTERNATING_MAX_N + 1)]
+                e = Decimal(1) - _dec50(s)
+                got = series._powers(xs, e)
             for k, (x, g) in enumerate(zip(xs, got)):
-                want = x.ln()
-                assert abs(g - want) <= Decimal("1e-47") * abs(want), (u, k)
+                with localcontext() as ctx:
+                    ctx.prec = 70
+                    want = x ** e
+                    slack = want * Decimal("2e-51")
+                    lo, hi = want - slack, want + slack
+                with localcontext() as ctx:
+                    ctx.prec = 50
+                    if +lo == +hi:
+                        assert g == +want, (s, u, k)
 
 
 def two_exp_power(x, e):
