@@ -12,16 +12,12 @@ The alternating inner sums lose roughly one bit per order n, so two methods
 are provided and cross-checked:
 
   * alternating_sum: the literal sum over 50-digit decimal values of
-    (k+u)^(1-s) or ln(k+u), each computed once per point for every n;
-    capped at n <= 40.  The sums themselves are exact (integer forward
+    (k+u)^(1-s) or ln(k+u) (Decimal's own ** and ln), each computed once
+    per point for every n.  The sums themselves are exact (integer forward
     differences on the values' common decimal grid), so cancellation
-    cannot pollute them, and each is rounded once to a float.  A log is
-    Decimal's own ln.  For a non-integral power each k+u is B^j (1+d) with
-    B = 1 + 2^-20, j from a float log and |d| < 4.8e-7, and the power is
-    (B^e)^j (1+d)^e: one non-integral power B^e per block plus two integer
-    powers and a short binomial series per value.  Guard digits derived
-    from the largest |j| and |e| keep each value within 5.2e-50 relative
-    of the exact one.
+    cannot pollute them, and each is rounded once to a float.  They serve
+    log_tn(..., alternating_sum) for n <= 40, D_n for integer s <= 1 up to
+    n = 1-s (at most 40), and D_n for the few n with n + s - 1 < 1.
   * frullani_quadrature: the integral representations
 
         log t_n(u) = int_0^inf (1-e^-t)^n e^(-ut) dt/t          (n >= 1)
@@ -30,8 +26,9 @@ are provided and cross-checked:
     on a double-exponential grid t = exp(tau - exp(-tau)).  A whole range
     of n is one matrix product of two np.power tables of 1-e^-t.  The D_n
     form holds for s > 1 and extends by analytic continuation to s > 1-n;
-    for positive integer powers m = 1-s the sums terminate (D_n = 0 for
-    n > m) and the quadrature is skipped in favour of that exact zero.
+    it serves every n with n + s - 1 >= 1 (and n >= 2) of a non-integral
+    s or an integer s >= 2.  For integer powers m = 1-s >= 0 the sums
+    terminate (D_n = 0 for n > m), and that exact zero serves n > m.
 
 The truncated S_alpha sums report an err_est from the decay law
 |D_n| ~ C n^-u (log n)^(s-2), with C fitted to the computed terms; the fit
@@ -68,8 +65,8 @@ __all__ = [
     "finite_bernoulli_identity_sides",
 ]
 
-# 53-bit floats lose ~n bits to the alternating cancellation; beyond this
-# order the quadrature representation is the only safe route.
+# The highest order n served by exact sums in log_tn(..., ALTERNATING)
+# and in the terminating D_n of integer s <= 1.
 ALTERNATING_MAX_N = 40
 
 
@@ -130,11 +127,6 @@ class Approximation:
 
 _DEC_PREC = 50
 
-# Every non-integral decimal power of the n <= 40 sums is reduced against
-# the integer powers of one exact base B = 1 + 2^-20.
-_STEP = Decimal("1.00000095367431640625")
-_LN_STEP = math.log1p(2.0 ** -20)
-
 
 def _decimal_of(x) -> Decimal:
     fr = x if isinstance(x, Fraction) else Fraction(x)
@@ -166,60 +158,6 @@ def _alternating_sums(f: list[Decimal]) -> list[float]:
     return sums
 
 
-def _poly(coefs: list[Decimal], t: Decimal) -> Decimal:
-    """sum_i coefs[i] t^i by Horner's rule, in the caller's context."""
-    acc = coefs[-1]
-    for c in coefs[-2::-1]:
-        acc = acc * t + c
-    return acc
-
-
-def _powers(xs: list[Decimal], e: Decimal) -> list[Decimal]:
-    """x**e for every x of an ascending list and a non-integral e, each
-    rounded once to the caller's precision (within 5.2e-50 relative of the
-    exact power at 50 digits).
-
-    Each x is reduced as B^j (1 + d): j = round(ln x / ln B) from the float
-    log, so |d| < 4.8e-7, and d = x B^-j - 1 is within 1.5 ulps of 1 + d.
-    Then x^e = (B^e)^j (1 + d)^e.  B^e is the list's one non-integral power
-    (Decimal's **), (B^e)^j and B^-j are integer powers, and (1 + d)^e is
-    its binomial series in d.  Two errors make up the 2e-51 relative
-    before the final rounding (at 50 digits):
-
-      * rounding, run on guard digits: in ulps, B^e's rounding grows
-        |j|-fold in (B^e)^j, that of 1 + d |e|-fold in (1 + d)^e, and the
-        series adds one per term, under 100 in all; the series' terms
-        outgrow its value by at most exp(2 |e d|) < 10^(|e| 2^-21).  The
-        guard takes the largest |j| (from the ends of the list) and |e|,
-        and holds these below 10^-(prec+1) relative;
-      * truncation: the series ends before the first term that is at
-        most 10^-(prec+1) / 2 of its value at the largest |d| and from
-        which on each term is at most half the one before.  The terms
-        left out sum below 10^-(prec+1) relative, and each one kept is
-        above that bound at the largest |d|.
-    """
-    ea = float(abs(e))
-    lmax = max(-math.log(float(xs[0])), math.log(float(xs[-1])))
-    with localcontext() as ctx:
-        swing = math.ceil(ea / 2 ** 21)
-        tol = Decimal(5).scaleb(-(ctx.prec + 2 + swing))
-        ctx.prec += 3 + int(math.log10(lmax / _LN_STEP + 2 * ea + 100)) + swing
-        js = [round(math.log(float(x)) / _LN_STEP) for x in xs]
-        ds = [x * _STEP ** -j - 1 for x, j in zip(xs, js)]
-        dmax = max(map(abs, ds))
-        coefs, i = [Decimal(1)], 0
-        while True:
-            c = coefs[-1] * (e - i) / (i + 1)
-            i += 1
-            if (abs(c) * dmax ** i <= tol
-                    and 2 * abs(e - i) * dmax <= i + 1):
-                break
-            coefs.append(c)
-        step_e = _STEP ** e
-        powers = [step_e ** j * _poly(coefs, d) for j, d in zip(js, ds)]
-    return [+p for p in powers]
-
-
 def _log_tn_alternating(n_max: int, u: float) -> list[float]:
     """log t_n(u) for n = 0..n_max: the sums over -ln(k+u) (exact negation)."""
     with localcontext() as ctx:
@@ -229,21 +167,13 @@ def _log_tn_alternating(n_max: int, u: float) -> list[float]:
 
 
 def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
-    """D_n(s,u) for n = 0..n_max by the literal sums over 50-digit powers.
-
-    An integral power e = 1-s is Decimal's own **, a few multiplications.
-    The non-integral ones come from _powers: one non-integral power B^e for
-    the block, and each value within 5.2e-50 relative on guard digits
-    derived from the block's largest |j| and |e|.
-    """
+    """D_n(s,u) for n = 0..n_max by the literal sums over the 50-digit
+    powers (k+u)^(1-s), each Decimal's own **."""
     with localcontext() as ctx:
         ctx.prec = _DEC_PREC
         uu = _decimal_of(u)
         e = Decimal(1) - _decimal_of(s)
-        xs = [uu + k for k in range(n_max + 1)]
-        if e == e.to_integral_value():
-            return _alternating_sums([x ** e for x in xs])
-        return _alternating_sums(_powers(xs, e))
+        return _alternating_sums([(uu + k) ** e for k in range(n_max + 1)])
 
 
 # --------------------------------------------------------------------------
@@ -334,24 +264,29 @@ def _inner_diff_quad_sweep(s: float, u: float, n_lo: int, n_hi: int) -> np.ndarr
 def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     """D_n(s,u) for n = 0..N.
 
-    The exact-sum route (alternating sums of 50-digit powers) serves
-    n <= ALTERNATING_MAX_N and the normalized integral every n beyond it.
-    Integer powers m = 1-s >= 0 terminate exactly (D_n = 0 for n > m),
-    and that exact zero is used directly for every such n: the 50-digit
-    sums would leave rounding noise there, and the Gamma normalization
-    degenerates.
+    Integer powers m = 1-s >= 0 terminate exactly (D_n = 0 for n > m):
+    the exact sums serve n <= m, up to ALTERNATING_MAX_N, and that exact
+    zero every n beyond, where the Gamma normalization degenerates.  For
+    every other s the normalized integral serves each n >= n_q =
+    max(2, ceil(2-s)), where n + s - 1 >= 1: its integrand is positive, so
+    it is accurate relative to D_n however much the sum cancels, and it
+    behaves like t^(n+s-2) near t = 0, which the rule's lower cutoff
+    resolves from there on.  The exact sums serve the few n below n_q.
     """
     out = np.empty(N + 1)
-    cap = min(N, ALTERNATING_MAX_N)
-    out[:cap + 1] = _inner_diff_alternating(cap, s, u)
     if float(s) == int(s) and s <= 1.0:
-        m = int(1.0 - s)
-        if N > cap and m > cap:
+        m = min(N, int(1.0 - s))
+        if m > ALTERNATING_MAX_N:
             raise ValueError("terminating powers with 1-s beyond the "
                              "exact-sum cap are not supported")
+        out[:m + 1] = _inner_diff_alternating(m, s, u)
         out[m + 1:] = 0.0
-    elif N > cap:
-        out[cap + 1:] = _inner_diff_quad_sweep(s, u, cap + 1, N)
+        return out
+    n_q = max(2, math.ceil(2.0 - s))
+    head = min(N, n_q - 1)
+    out[:head + 1] = _inner_diff_alternating(head, s, u)
+    if N >= n_q:
+        out[n_q:] = _inner_diff_quad_sweep(s, u, n_q, N)
     return out
 
 
