@@ -11,8 +11,7 @@ indices where no closed form is known.
 
 import numpy as np
 
-from zetaprod.quad import (QuadConfig, integrate_double, integrate_prelim,
-                           integrate_single_d)
+from zetaprod.quad import integrate_double, integrate_prelim, integrate_single_d
 from zetaprod.series import EvalParams, log_z_direct
 
 print("integer index: all three integrals vs the direct series, u = 1/2")
@@ -39,11 +38,3 @@ vals = [(a, integrate_double(a, 1.0).value) for a in np.arange(0.0, 3.01, 0.5)]
 for a, v in vals:
     print(f"  a = {a:3.1f}: {v:.12f}")
 assert all(x[1] > y[1] for x, y in zip(vals, vals[1:]))
-
-print()
-print("refinement honesty: one more halving level moves the result by less")
-print("than the reported error estimate")
-a8 = integrate_double(1.5, 0.7, QuadConfig(level_max=8))
-a9 = integrate_double(1.5, 0.7, QuadConfig(level_max=9))
-print(f"  level 8: {a8.value:.15f} (err_est {a8.err_est:.1e})")
-print(f"  level 9: {a9.value:.15f} (change {abs(a9.value - a8.value):.1e})")

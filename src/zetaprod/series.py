@@ -16,19 +16,25 @@ are provided and cross-checked:
     per point for every n.  The sums themselves are exact (integer forward
     differences on the values' common decimal grid), so cancellation
     cannot pollute them, and each is rounded once to a float.  They serve
-    log_tn(..., alternating_sum) for n <= 40, D_n for integer s <= 1 up to
-    n = 1-s (at most 40), and D_n for the few n with n + s - 1 < 1.
-  * frullani_quadrature: the integral representations
+    log_tn(..., alternating_sum) for n <= 40 and D_n for the few
+    n < n_q = max(2, ceil(2-s)), where n + s - 1 < 1 or n <= 1.
+  * frullani_quadrature: one half-line integral,
 
-        log t_n(u) = int_0^inf (1-e^-t)^n e^(-ut) dt/t          (n >= 1)
-        D_n(s, u)  = (1/Gamma(s-1)) int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt
+        F_n(s, u) = int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt     (n + s > 1),
 
-    on a double-exponential grid t = exp(tau - exp(-tau)).  A whole range
-    of n is one matrix product of two np.power tables of 1-e^-t.  The D_n
-    form holds for s > 1 and extends by analytic continuation to s > 1-n;
-    it serves every n with n + s - 1 >= 1 (and n >= 2) of a non-integral
-    s or an integer s >= 2.  For integer powers m = 1-s >= 0 the sums
-    terminate (D_n = 0 for n > m), and that exact zero serves n > m.
+    gives log t_n(u) = F_n(1, u) for n >= 1 and, by analytic continuation
+    from s > 1, D_n(s, u) = F_n(s, u) / Gamma(s-1).  At integer s <= 1,
+    1/Gamma(s-1) is exactly 0, which is the terminating D_n = 0 for
+    n > 1-s.  _frullani_sweep forms F_n on a double-exponential grid
+    t = exp(tau - exp(-tau)), a whole range of n as one matrix product of
+    two np.power tables of 1-e^-t, and serves every n >= n_q of D_n at
+    every real s.
+
+Against literal sums at 300 digits over u in {0.05, ..., 10}, D_n at
+n < n_q and at n_q, n_q + 10, n_q + 60 holds to 1.4e-14 relative on
+s = -0.7, -1.7, ..., -40.7, and to 1.6e-15 beside the poles of
+Gamma(s-1), at s = 1e-9 and s = -1 +- 1e-6.  Further down the 50-digit
+head fails: at u = 10 it is 4.2e-12 off at s = -60.3 and 0.13 at -80.3.
 
 The truncated S_alpha sums report an err_est from the decay law
 |D_n| ~ C n^-u (log n)^(s-2), with C fitted to the computed terms; the fit
@@ -65,8 +71,7 @@ __all__ = [
     "finite_bernoulli_identity_sides",
 ]
 
-# The highest order n served by exact sums in log_tn(..., ALTERNATING)
-# and in the terminating D_n of integer s <= 1.
+# The highest order n that log_tn(..., ALTERNATING) serves.
 ALTERNATING_MAX_N = 40
 
 
@@ -184,7 +189,7 @@ _H_DE = 1.0 / 16.0
 _TAU_LO = -3.8
 
 
-def _halfline_nodes(u: float, n_max: int, s: float = 2.0):
+def _halfline_nodes(u: float, n_max: int, s: float):
     """Nodes/weights for int_0^inf f(t) dt with f decaying like e^(-ut).
 
     The map t = exp(tau - exp(-tau)) sends both tails to double-exponential
@@ -201,25 +206,37 @@ def _halfline_nodes(u: float, n_max: int, s: float = 2.0):
     return t, w
 
 
-def _power_sums(base: np.ndarray, c: np.ndarray, n_lo: int,
-                n_hi: int) -> np.ndarray:
-    """sum_j c_j base_j^n for n = n_lo..n_hi as one product of two tables.
+def _power_sums(base: np.ndarray, c: np.ndarray, n_max: int) -> np.ndarray:
+    """sum_j c_j base_j^n for n = 0..n_max as one product of two tables.
 
-    With n = n_lo + jK + i and K = isqrt(count), base^n = base^(n_lo+jK) *
-    base^i: two small np.power tables and one (J x nodes) x (nodes x K)
-    product.  Every power is one pow call, so its rounding does not grow
-    with n as a chained product's would.  The product is an einsum, numpy's
-    own loop in the calling thread: as a BLAS product a large sweep would
-    start OpenBLAS's worker threads, which spin on the other cores between
-    calls, and its rounding would depend on the thread count.
+    With n = jK + i and K = isqrt(n_max + 1), base^n = base^(jK) * base^i:
+    two small np.power tables and one (J x nodes) x (nodes x K) product.
+    Every power is one pow call, so its rounding does not grow with n as a
+    chained product's would.  The product is an einsum, numpy's own loop
+    in the calling thread: as a BLAS product a large sweep would start
+    OpenBLAS's worker threads, which spin on the other cores between calls,
+    and its rounding would depend on the thread count.
     """
-    count = n_hi - n_lo + 1
+    count = n_max + 1
     K = math.isqrt(count)
     J = -(-count // K)
     lo = np.power(base, np.arange(K, dtype=float)[:, None])
     lo *= c
-    hi = np.power(base, (n_lo + K * np.arange(J, dtype=float))[:, None])
+    hi = np.power(base, K * np.arange(J, dtype=float)[:, None])
     return np.einsum("jn,kn->jk", hi, lo).ravel()[:count]
+
+
+def _frullani_sweep(u: float, s: float, n_lo: int, n_hi: int) -> np.ndarray:
+    """int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt for n = n_lo..n_hi.
+
+    Needs n_lo + s - 1 >= 1.  Each node's coefficient is formed in log
+    space with (1-e^-t)^n_lo folded in, so it behaves like t^(n_lo+s-2) as
+    t -> 0 and stays finite however far below 0 s lies.
+    """
+    t, w = _halfline_nodes(u, n_hi, s)
+    base = -np.expm1(-t)                      # 1 - e^-t, accurate near 0
+    c = np.exp(np.log(w) - u * t + (s - 2.0) * np.log(t) + n_lo * np.log(base))
+    return _power_sums(base, c, n_hi - n_lo)
 
 
 def log_tn_sweep(u: float, n_max: int) -> np.ndarray:
@@ -229,64 +246,32 @@ def log_tn_sweep(u: float, n_max: int) -> np.ndarray:
     the bulk producer behind the direct product series and the truncated
     product oracles.
     """
-    t, w = _halfline_nodes(u, n_max)
-    base = -np.expm1(-t)                      # 1 - e^-t, accurate near 0
-    c = w * np.exp(-u * t) / t
     out = np.empty(n_max + 1)
     out[0] = -math.log(u)
     if n_max >= 1:
-        out[1:] = _power_sums(base, c, 1, n_max)
+        out[1:] = _frullani_sweep(u, 1.0, 1, n_max)
     return out
 
 
-def _log_tn_quadrature(n: int, u: float) -> float:
-    t, w = _halfline_nodes(u, n)
-    base = -np.expm1(-t)
-    integrand = np.exp(n * np.log(base) - u * t) / t
-    return float(np.dot(w, integrand))
-
-
-def _inner_diff_quad_sweep(s: float, u: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """D_n(s,u) for n = n_lo..n_hi via the Gamma(s-1)-normalized integral.
-
-    Valid (by analytic continuation) for s > 1 - n_lo with s not an integer
-    <= 1; the caller handles terminating integer cases exactly.
-    """
-    if n_lo + s <= 1.0:
-        raise ValueError("inner-difference quadrature needs s > 1 - n")
-    norm = 1.0 / math.gamma(s - 1.0)
-    t, w = _halfline_nodes(u, n_hi, s)
-    base = -np.expm1(-t)
-    cc = w * np.exp(-u * t) * t ** (s - 2.0)
-    return norm * _power_sums(base, cc, n_lo, n_hi)
-
-
 def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
-    """D_n(s,u) for n = 0..N.
+    """D_n(s,u) for n = 0..N, at every real s.
 
-    Integer powers m = 1-s >= 0 terminate exactly (D_n = 0 for n > m):
-    the exact sums serve n <= m, up to ALTERNATING_MAX_N, and that exact
-    zero every n beyond, where the Gamma normalization degenerates.  For
-    every other s the normalized integral serves each n >= n_q =
-    max(2, ceil(2-s)), where n + s - 1 >= 1: its integrand is positive, so
-    it is accurate relative to D_n however much the sum cancels, and it
-    behaves like t^(n+s-2) near t = 0, which the rule's lower cutoff
-    resolves from there on.  The exact sums serve the few n below n_q.
+    The exact sums serve n < n_q = max(2, ceil(2-s)) and the sweep, times
+    1/Gamma(s-1), every n >= n_q.  The sweep's integrand is positive, but
+    its error grows with u and n: against 300-digit sums it is 3.3e-9
+    relative at (s, u, n) = (2.9, 10, 501) and 2.2e-12 at (1.56, 4, 501).
+    1/Gamma(s-1) = (s-1) s ... (s+m-1) / Gamma(s+m) with s + m >= 1/2:
+    each factor is formed from s, so none rounds next to a pole, and at
+    integer s <= 1 one factor is exactly 0 (D_n = 0 for n > 1-s).
     """
     out = np.empty(N + 1)
-    if float(s) == int(s) and s <= 1.0:
-        m = min(N, int(1.0 - s))
-        if m > ALTERNATING_MAX_N:
-            raise ValueError("terminating powers with 1-s beyond the "
-                             "exact-sum cap are not supported")
-        out[:m + 1] = _inner_diff_alternating(m, s, u)
-        out[m + 1:] = 0.0
-        return out
     n_q = max(2, math.ceil(2.0 - s))
     head = min(N, n_q - 1)
     out[:head + 1] = _inner_diff_alternating(head, s, u)
     if N >= n_q:
-        out[n_q:] = _inner_diff_quad_sweep(s, u, n_q, N)
+        m = max(0, math.ceil(0.5 - s))
+        norm = math.prod(s + k for k in range(-1, m)) / math.gamma(s + m)
+        out[n_q:] = norm * _frullani_sweep(u, s, n_q, N)
     return out
 
 
@@ -313,7 +298,7 @@ def log_tn(n: int, u: float,
             raise ValueError(f"log_tn: alternating_sum is limited to "
                              f"n <= {ALTERNATING_MAX_N}")
         return _log_tn_alternating(n, u)[n]
-    return _log_tn_quadrature(n, u)
+    return float(_frullani_sweep(u, 1.0, n, n)[0])
 
 
 def _median(a: np.ndarray) -> float:
@@ -335,7 +320,10 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     """Partial sum of S_alpha(s, u) over n = 0..N.
 
     err_est is twice the tail of the decay law D_n ~ C n^-u (log n)^(s-2),
-    with C fitted to the last decade of the computed differences.
+    with C fitted to the last decade of the computed differences, plus
+    1e-15 times the sum of the terms' magnitudes.  For s << 0 the sum is
+    ill-conditioned: at (alpha, s, u, N) = (0.5, -20, 1, 100) it reads
+    -7.36e5 against an exact 2719.8, with err_est 1.0e7.
     """
     p.require_s_alpha_valid()
     if p.s is None:
@@ -345,8 +333,9 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     inner = _inner_differences(p.s, p.u, N)
     ns = np.arange(N + 1, dtype=float)
     weights = 1.0 / (ns + p.alpha + 1.0)
-    value = math.fsum(inner * weights)
-    rounding = 1e-15 * (1.0 + abs(value))
+    terms = inner * weights
+    value = math.fsum(terms)
+    rounding = 1e-15 * (1.0 + float(np.abs(terms).sum()))
     if float(p.s) == int(p.s) and p.s <= 1.0 and N > 1 - p.s:
         return Approximation(value, rounding, N + 1)  # terminated exactly
     # C: the median of |D_n| n^u (log n)^(2-s) over n in [N/10, N], with
@@ -498,7 +487,9 @@ def resummed_power_partial(s: float, u: float, N: int) -> float:
     """Partial double sum sum_{n<=N} D_n(s, u+1); the limit is u^(1-s).
 
     Pascal's rule gives D_n(s, u+1) = D_n(s, u) - D_{n+1}(s, u), so the
-    partial sum telescopes to exactly u^(1-s) - D_{N+1}(s, u).
+    partial sum telescopes to exactly u^(1-s) - D_{N+1}(s, u).  For s << 0
+    the sum is ill-conditioned: at s = -20.5, u = 1 its entries reach 3.6e23
+    and the N = 200 sum reads -2.63e7 against a true -3290.7.
     """
     if not u > 0:
         raise ValueError("resummed_power_partial: u must be > 0")

@@ -26,8 +26,8 @@ def _worker(seed: int):
         out.append(harmonic(k))
         out.append(stirling1_unsigned(k, k // 2))
         out.append(row_by_gf(k % 12, Fraction(1, 3)).coeffs)
-    # decimal powers against the shared base, and decimal logs, each
-    # thread in its own localcontext
+    # decimal powers and decimal logs, each thread in its own
+    # localcontext
     out.append(s_alpha_truncated(EvalParams(0.5, 0.7, s=2.5), 60).value)
     out.append(log_tn(40, 0.3, DifferenceMethod.ALTERNATING))
     out.append(hurwitz_zeta_deriv(0.0, 1.0).deriv)

@@ -19,9 +19,8 @@ from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              resummed_power_partial, log_tn, log_z_direct,
                              s_alpha_truncated)
 from zetaprod import series
-from zetaprod.series import (_beta_tail, _halfline_nodes,
-                             _head_terms, _inner_diff_quad_sweep,
-                             _inner_differences, log_tn_sweep)
+from zetaprod.series import (_beta_tail, _frullani_sweep, _halfline_nodes,
+                             _head_terms, _inner_differences, log_tn_sweep)
 
 ALT = DifferenceMethod.ALTERNATING
 FRU = DifferenceMethod.FRULLANI
@@ -143,6 +142,46 @@ INNER_DIFF_CASES = (
     + [(s, u, 3e-14) for s in (-1.97, -3.03, -3.97) for u in GRID_U])
 
 
+def literal_inner_diffs_300(s, u, ns):
+    """D_n(s,u) for each n in ns as literal sums at 300 digits.
+
+    50 digits are too few here: at s = -40.5, n = 103, u = 10 the largest
+    term is 2e81 times |D_n|.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(300):
+        e = 1 - mpmath.mpf(s)
+        f = [mpmath.power(mpmath.mpf(u) + k, e) for k in range(max(ns) + 1)]
+        return [float(mpmath.fsum((-1) ** k * math.comb(n, k) * f[k]
+                                  for k in range(n + 1))) for n in ns]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestInnerDifferencesAtEveryS:
+    """One rule serves every real s: the sweep's coefficient stays finite
+    far below s = 0, and 1/Gamma(s-1) keeps its accuracy next to the poles
+    of Gamma at s = 0 and s = -1."""
+
+    @pytest.mark.parametrize("s,bound", [(-12.7, 1e-14), (-20.5, 1e-14),
+                                         (-40.5, 1e-14), (1e-9, 4e-15),
+                                         (-1.0 + 1e-6, 4e-15),
+                                         (-1.0 - 1e-6, 4e-15)])
+    @pytest.mark.parametrize("u", GRID_U)
+    def test_swept_entries_against_300_digits(self, s, bound, u):
+        n_q = max(2, math.ceil(2.0 - s))
+        ns = [n_q, n_q + 10, n_q + 60]
+        got = _inner_differences(s, u, ns[-1])[ns]
+        want = np.array(literal_inner_diffs_300(s, u, ns))
+        assert np.all(np.abs(got - want) <= bound * np.abs(want)), (got, want)
+
+    @pytest.mark.parametrize("u", GRID_U)
+    def test_terminating_power_past_40(self, u):
+        # 1-s = 46: exact sums up to n = 46, exact zeros beyond
+        got = _inner_differences(-45.0, u, 100)
+        want = [float(inner_diff_exact(n, 46, Fraction(u))) for n in range(101)]
+        assert got.tolist() == want
+
+
 class TestSharedAlternatingSums:
     """log_tn(..., ALTERNATING) equals the literal per-n sums bit for bit,
     and so does D_n where it terminates (integer s <= 1).  Elsewhere D_n
@@ -261,36 +300,21 @@ def _node_sum_reference(base, c, ns):
                 for n in ns]
 
 
-def _log_tn_nodes(u, n_max):
-    t, w = _halfline_nodes(u, n_max)
-    return -np.expm1(-t), w * np.exp(-u * t) / t
-
-
-def _inner_diff_nodes(s, u, n_hi):
+def _frullani_nodes(u, s, n_lo, n_hi):
+    """1-e^-t and the kernel's coefficient, with (1-e^-t)^n_lo folded in."""
     t, w = _halfline_nodes(u, n_hi, s)
-    return -np.expm1(-t), w * np.exp(-u * t) * t ** (s - 2.0)
+    base = -np.expm1(-t)
+    return base, np.exp(np.log(w) - u * t + (s - 2.0) * np.log(t)
+                        + n_lo * np.log(base))
 
 
-def loop_log_tn_sweep(u, n_max):
+def loop_frullani_sweep(u, s, n_lo, n_hi):
     """The per-n loop the matrix-product sweep replaced."""
-    base, c = _log_tn_nodes(u, n_max)
-    out = np.empty(n_max + 1)
-    out[0] = -math.log(u)
-    p = base.copy()
-    for n in range(1, n_max + 1):
-        out[n] = float(np.dot(p, c))
-        p *= base
-    return out
-
-
-def loop_inner_diff_quad_sweep(s, u, n_lo, n_hi):
-    """The per-n loop the matrix-product sweep replaced."""
-    norm = 1.0 / math.gamma(s - 1.0)
-    base, cc = _inner_diff_nodes(s, u, n_hi)
+    base, c = _frullani_nodes(u, s, n_lo, n_hi)
     out = np.empty(n_hi - n_lo + 1)
-    p = np.exp(n_lo * np.log(base))
+    p = np.ones_like(base)
     for i in range(n_hi - n_lo + 1):
-        out[i] = norm * float(np.dot(p, cc))
+        out[i] = float(np.dot(p, c))
         p *= base
     return out
 
@@ -309,7 +333,8 @@ class TestPowerSumKernel:
     def test_log_tn_sweep_against_40_digits(self, u, n_max):
         K = math.isqrt(n_max)
         ns = sorted({n for n in (K - 1, K, K + 1, n_max) if 1 <= n <= n_max})
-        want = _node_sum_reference(*_log_tn_nodes(u, n_max), ns)
+        want = _node_sum_reference(*_frullani_nodes(u, 1.0, 1, n_max),
+                                   [n - 1 for n in ns])
         got = log_tn_sweep(u, n_max)
         for n, w in zip(ns, want):
             assert abs(got[n] - w) <= 2e-15 * abs(w), (n, got[n], w)
@@ -320,26 +345,25 @@ class TestPowerSumKernel:
         u, n_hi = 0.7, 500
         K = math.isqrt(n_hi - n_lo + 1)
         offsets = (0, K - 1, K, K + 1, n_hi - n_lo)
-        want = _node_sum_reference(*_inner_diff_nodes(s, u, n_hi),
-                                   [n_lo + i for i in offsets])
-        norm = 1.0 / math.gamma(s - 1.0)
-        got = _inner_diff_quad_sweep(s, u, n_lo, n_hi)
+        want = _node_sum_reference(*_frullani_nodes(u, s, n_lo, n_hi),
+                                   offsets)
+        got = _frullani_sweep(u, s, n_lo, n_hi)
         for i, w in zip(offsets, want):
-            assert abs(got[i] - norm * w) <= 2e-15 * abs(norm * w), (i, s)
+            assert abs(got[i] - w) <= 2e-15 * abs(w), (i, s)
 
     @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
     def test_log_tn_sweep_matches_the_loop(self, u):
         got = log_tn_sweep(u, 10000)
-        want = loop_log_tn_sweep(u, 10000)
-        assert got[0] == want[0]
-        assert _max_rel(got[1:], want[1:]) <= 1e-14
+        want = loop_frullani_sweep(u, 1.0, 1, 10000)
+        assert got[0] == -math.log(u)
+        assert _max_rel(got[1:], want) <= 1e-14
 
     @pytest.mark.parametrize("n_lo", [2, 41])
     @pytest.mark.parametrize("s,u", [(0.5, 0.05), (1.5, 0.7), (2.3, 2.0),
                                      (3.0, 10.0)])
     def test_inner_diff_sweep_matches_the_loop(self, s, u, n_lo):
-        got = _inner_diff_quad_sweep(s, u, n_lo, 500)
-        want = loop_inner_diff_quad_sweep(s, u, n_lo, 500)
+        got = _frullani_sweep(u, s, n_lo, 500)
+        want = loop_frullani_sweep(u, s, n_lo, 500)
         assert _max_rel(got, want) <= 1e-14
 
 
@@ -370,6 +394,16 @@ class TestSAlphaTruncated:
     def test_rejects_forbidden_alpha(self):
         with pytest.raises(ValueError):
             s_alpha_truncated(EvalParams(-1.0, 1.0, s=2.0), 10)
+
+    @pytest.mark.parametrize("s", [-5.0, -10.0, -20.0, -39.0])
+    def test_terminating_err_est_covers_the_cancellation(self, s):
+        # at s = -39 the exact terms reach 1.4e52 against a sum of -3.8e16,
+        # so the float sum is off by far more than 1e-15 (1 + |value|)
+        m = int(1.0 - s)
+        exact = sum(inner_diff_exact(n, m, Fraction(1)) / (n + Fraction(3, 2))
+                    for n in range(m + 1))
+        a = s_alpha_truncated(EvalParams(0.5, 1.0, s=s), 100)
+        assert abs(a.value - float(exact)) <= a.err_est
 
     def test_s_equal_one_is_exact(self):
         # N = 500 runs past the alternating sums' cap
