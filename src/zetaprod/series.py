@@ -253,6 +253,11 @@ def log_tn_sweep(u: float, n_max: int) -> np.ndarray:
     return out
 
 
+def _sweep_start(s: float) -> int:
+    """n_q, the first n whose D_n(s,u) the sweep serves (n + s - 1 >= 1)."""
+    return max(2, math.ceil(2.0 - s))
+
+
 def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     """D_n(s,u) for n = 0..N, at every real s.
 
@@ -265,9 +270,8 @@ def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     integer s <= 1 one factor is exactly 0 (D_n = 0 for n > 1-s).
     """
     out = np.empty(N + 1)
-    n_q = max(2, math.ceil(2.0 - s))
-    head = min(N, n_q - 1)
-    out[:head + 1] = _inner_diff_alternating(head, s, u)
+    n_q = _sweep_start(s)
+    out[:n_q] = _inner_diff_alternating(min(N, n_q - 1), s, u)
     if N >= n_q:
         m = max(0, math.ceil(0.5 - s))
         norm = math.prod(s + k for k in range(-1, m)) / math.gamma(s + m)
@@ -330,19 +334,18 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
         raise ValueError("s_alpha_truncated: params must carry s")
     if N < 1:
         raise ValueError("s_alpha_truncated: N must be >= 1")
-    inner = _inner_differences(p.s, p.u, N)
-    ns = np.arange(N + 1, dtype=float)
+    M = max(N, 10 * _sweep_start(p.s))
+    inner = _inner_differences(p.s, p.u, M)
+    ns = np.arange(M + 1, dtype=float)
     weights = 1.0 / (ns + p.alpha + 1.0)
     terms = inner * weights
-    value = math.fsum(terms)
+    value = math.fsum(terms[:N + 1])
     rounding = 1e-15 * (1.0 + float(np.abs(terms).sum()))
-    if float(p.s) == int(p.s) and p.s <= 1.0 and N > 1 - p.s:
-        return Approximation(value, rounding, N + 1)  # terminated exactly
-    # C: the median of |D_n| n^u (log n)^(2-s) over n in [N/10, N], with
-    # log n read at n >= 2, where it is positive.  With n = N e^t the tail
-    # sum_{n>N} C n^-(u+1) (log n)^(s-2) is
-    # C N^-u int_0^inf e^(-ut) (log N + t)^(s-2) dt.
-    lo = max(1, N // 10)
+    # C: the median of |D_n| n^u (log n)^(2-s) over n in [M/10, M], with
+    # log n read at n >= 2, where it is positive.  With n = M e^t the tail
+    # sum_{n>M} C n^-(u+1) (log n)^(s-2) is
+    # C M^-u int_0^inf e^(-ut) (log M + t)^(s-2) dt.
+    lo = max(1, M // 10)
     log_n = np.log(np.maximum(ns[lo:], 2.0))
     c = _median(np.abs(inner[lo:]) * ns[lo:] ** p.u * log_n ** (2.0 - p.s))
     t, w = _halfline_nodes(p.u, 1, p.s)
@@ -351,7 +354,8 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     # Against a 30-digit S_d, error / tail ran 0.13-1.76 wherever the error
     # passed 1e-12, over d in {0, 2, 5}, s in 0.5..3.5, u in 0.05..10 and
     # N in {100, 500, 1000}; hence the factor 2.
-    return Approximation(value, 2.0 * tail + rounding, N + 1)
+    return Approximation(value, abs(math.fsum(terms[N + 1:])) + 2.0 * tail
+                         + rounding, N + 1)
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +499,7 @@ def resummed_power_partial(s: float, u: float, N: int) -> float:
         raise ValueError("resummed_power_partial: u must be > 0")
     if N < 0:
         raise ValueError("resummed_power_partial: N must be >= 0")
-    inner = _inner_differences(s, u + 1.0, max(N, 1))
-    return math.fsum(inner[:N + 1])
+    return math.fsum(_inner_differences(s, u + 1.0, N))
 
 
 def functional_eq_residual(p: EvalParams, N: int) -> float:
