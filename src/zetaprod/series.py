@@ -149,7 +149,7 @@ def _alternating_sums(f: list[Decimal]) -> list[float]:
     most the caller's context precision in digits, which every result of
     that context does.
     """
-    P = max(0, max(-x.as_tuple().exponent for x in f))
+    P = max([0] + [-x.as_tuple().exponent for x in f])
     row = [int(x.scaleb(P)) for x in f]
     scale = 10 ** P
     sums = []
@@ -172,10 +172,23 @@ def _log_tn_alternating(n_max: int, u: float) -> list[float]:
 
 
 def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
-    """D_n(s,u) for n = 0..n_max by the literal sums over the 50-digit
-    powers (k+u)^(1-s), each Decimal's own **."""
+    """D_n(s,u) for n = 0..n_max by the literal sums over the powers
+    (k+u)^p, p = 1-s, each Decimal's own **.
+
+    The sum for n has terms up to 2^n max_k (k+u)^p, and by the mean value
+    theorem |D_n| >= |p(p-1)...(p-n+1)| min(u^(p-n), (u+n)^(p-n)).  The
+    precision is 20 digits past the largest ratio of the two over n, and
+    at least 50.
+    """
+    p, a = 1.0 - s, math.log10(u)
+    digits = log_prod = 0.0
+    for n in range(1, n_max + 1):
+        log_prod += math.log10(abs(p - n + 1))
+        b = math.log10(u + n)
+        digits = max(digits, n * math.log10(2.0) + max(p * a, p * b)
+                     - log_prod - min((p - n) * a, (p - n) * b))
     with localcontext() as ctx:
-        ctx.prec = _DEC_PREC
+        ctx.prec = max(_DEC_PREC, 20 + math.ceil(digits))
         uu = _decimal_of(u)
         e = Decimal(1) - _decimal_of(s)
         return _alternating_sums([(uu + k) ** e for k in range(n_max + 1)])
@@ -255,7 +268,7 @@ def log_tn_sweep(u: float, n_max: int) -> np.ndarray:
 
 def _sweep_start(s: float) -> int:
     """n_q, the first n whose D_n(s,u) the sweep serves (n + s - 1 >= 1)."""
-    return max(2, math.ceil(2.0 - s))
+    return max(0, math.ceil(2.0 - s))
 
 
 def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
