@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetaprod.hurwitz import digamma, euler_gamma, hurwitz_zeta
+from zetaprod.rstirling import row_by_gf
 from zetaprod.series import (ALTERNATING_MAX_N, Approximation,
                              DifferenceMethod, EvalParams,
                              finite_bernoulli_identity_sides,
@@ -142,14 +143,14 @@ INNER_DIFF_CASES = (
     + [(s, u, 3e-14) for s in (-1.97, -3.03, -3.97) for u in GRID_U])
 
 
-def literal_inner_diffs_300(s, u, ns):
-    """D_n(s,u) for each n in ns as literal sums at 300 digits.
+def literal_inner_diffs(s, u, ns, dps=300):
+    """D_n(s,u) for each n in ns as literal sums at dps digits.
 
-    50 digits are too few here: at s = -40.5, n = 103, u = 10 the largest
-    term is 2e81 times |D_n|.
+    50 digits are too few far below s = 0: at s = -40.5, n = 103, u = 10
+    the largest term is 2e81 times |D_n|.
     """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(300):
+    with mpmath.workdps(dps):
         e = 1 - mpmath.mpf(s)
         f = [mpmath.power(mpmath.mpf(u) + k, e) for k in range(max(ns) + 1)]
         return [float(mpmath.fsum((-1) ** k * math.comb(n, k) * f[k]
@@ -171,8 +172,38 @@ class TestInnerDifferencesAtEveryS:
         n_q = max(2, math.ceil(2.0 - s))
         ns = [n_q, n_q + 10, n_q + 60]
         got = _inner_differences(s, u, ns[-1])[ns]
-        want = np.array(literal_inner_diffs_300(s, u, ns))
+        want = np.array(literal_inner_diffs(s, u, ns))
         assert np.all(np.abs(got - want) <= bound * np.abs(want)), (got, want)
+
+    @pytest.mark.parametrize("s", [-60.3, -80.3])
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_exact_head_below_s_minus_60(self, s, u):
+        # the head's precision grows with 1-s; a fixed 50 digits is 4.2e-12
+        # off at (s, u) = (-60.3, 10) and 0.13 off at (-80.3, 10)
+        ns = list(range(series._sweep_start(s)))
+        got = _inner_differences(s, u, ns[-1])
+        want = np.array(literal_inner_diffs(s, u, ns, dps=400))
+        assert np.all(np.abs(got - want) <= 2.2e-16 * np.abs(want)), (s, u)
+
+    @pytest.mark.parametrize("s", [1.0, 1.0 + 1e-7, 1.25, 1.5, 2.0 - 1e-7, 2.0,
+                                   2.0 + 1e-7, 2.5, 2.9, 3.0, 4.5, 7.0, 12.5,
+                                   20.0])
+    @pytest.mark.parametrize("u", GRID_U)
+    def test_low_orders_from_the_sweep_against_80_digits(self, s, u):
+        # the sweep serves D_0 from s = 2 and D_1 from s = 1 on; at s = 1
+        # every D_n past n = 0 is an exact 0
+        ns = [0, 1, 2, 3, 10, 60]
+        got = _inner_differences(s, u, ns[-1])[ns]
+        want = np.array(literal_inner_diffs(s, u, ns, dps=80))
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want)), (got, want)
+
+    @pytest.mark.parametrize("s", [2.0, 2.5, 7.0])
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_empty_exact_head(self, s, u):
+        # n_q = 0: D_0 = u^(1-s) is the sweep's only entry
+        got = _inner_differences(s, u, 0)
+        assert got.shape == (1,)
+        assert abs(got[0] - u ** (1.0 - s)) <= 2e-15 * u ** (1.0 - s)
 
     @pytest.mark.parametrize("u", GRID_U)
     def test_terminating_power_past_40(self, u):
@@ -339,8 +370,9 @@ class TestPowerSumKernel:
         for n, w in zip(ns, want):
             assert abs(got[n] - w) <= 2e-15 * abs(w), (n, got[n], w)
 
-    @pytest.mark.parametrize("n_lo", [2, 41])
-    @pytest.mark.parametrize("s", [0.5, 1.5, 2.3, 3.0])
+    @pytest.mark.parametrize("s,n_lo", [
+        (s, n_lo) for s in (0.5, 1.5, 2.3, 3.0) for n_lo in (0, 1, 2, 41)
+        if n_lo + s - 1.0 >= 1.0])
     def test_inner_diff_sweep_against_40_digits(self, s, n_lo):
         u, n_hi = 0.7, 500
         K = math.isqrt(n_hi - n_lo + 1)
@@ -358,9 +390,10 @@ class TestPowerSumKernel:
         assert got[0] == -math.log(u)
         assert _max_rel(got[1:], want) <= 1e-14
 
-    @pytest.mark.parametrize("n_lo", [2, 41])
-    @pytest.mark.parametrize("s,u", [(0.5, 0.05), (1.5, 0.7), (2.3, 2.0),
-                                     (3.0, 10.0)])
+    @pytest.mark.parametrize("s,u,n_lo", [
+        (s, u, n_lo) for s, u in [(0.5, 0.05), (1.5, 0.7), (2.3, 2.0),
+                                  (3.0, 10.0)]
+        for n_lo in (0, 1, 2, 41) if n_lo + s - 1.0 >= 1.0])
     def test_inner_diff_sweep_matches_the_loop(self, s, u, n_lo):
         got = _frullani_sweep(u, s, n_lo, 500)
         want = loop_frullani_sweep(u, s, n_lo, 500)
@@ -404,6 +437,56 @@ class TestSAlphaTruncated:
                     for n in range(m + 1))
         a = s_alpha_truncated(EvalParams(0.5, 1.0, s=s), 100)
         assert abs(a.value - float(exact)) <= a.err_est
+
+    @pytest.mark.parametrize("s,N", [(-5.0, 3), (-10.0, 5), (-20.0, 10)])
+    def test_err_est_covers_a_terminating_sum_before_it_ends(self, s, N):
+        # the distance to the full sum is the terms N+1..1-s, which err_est
+        # adds exactly; a decay law fitted to [N/10, N] missed it by 3.4e3x
+        # at (s, N) = (-10, 5) and 8.9e5x at (-20, 10)
+        m = int(1.0 - s)
+        exact = sum(inner_diff_exact(n, m, Fraction(1)) / (n + Fraction(3, 2))
+                    for n in range(m + 1))
+        a = s_alpha_truncated(EvalParams(0.5, 1.0, s=s), N)
+        assert abs(a.value - float(exact)) <= a.err_est
+
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("s", [-0.5, -2.5, -5.0, -10.5, -20.5])
+    @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
+    def test_err_est_covers_before_the_peak(self, d, s, u):
+        # before |D_n| peaks near n = 1-s the terms still grow; against the
+        # full S_d a decay law fitted to [N/10, N] under-reported by 4.1e8x
+        # at (d, s, u, N) = (0, -20.5, 0.05, 3)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            uq = Fraction(u)
+            U = mpmath.mpf(uq.numerator) / uq.denominator
+            row = row_by_gf(d, 1 - uq).coeffs
+            full = sum(mpmath.mpf(c.numerator) / c.denominator
+                       * (s - k - 1) * mpmath.zeta(s - k, U)
+                       for k, c in enumerate(row)) / math.factorial(d)
+            for N in (1, 3, 10):
+                a = s_alpha_truncated(EvalParams(float(d), u, s=s), N)
+                assert abs(mpmath.mpf(a.value) - full) <= a.err_est, N
+
+    @pytest.mark.parametrize("s,entries", [(2.0, 0), (2.5, 0), (3.0, 0),
+                                           (1.0, 1), (1.5, 1), (1.9, 1)])
+    def test_decimal_serves_only_what_the_sweep_cannot(self, monkeypatch, s,
+                                                       entries):
+        # the benchmark's box: past D_0 (and from s = 2 on, D_0 too) every
+        # D_n comes from the sweep, so at most one Decimal power is taken
+        taken = []
+        real = series._inner_diff_alternating
+
+        def counting(n_max, s_, u_):
+            out = real(n_max, s_, u_)
+            taken.append(len(out))
+            return out
+
+        monkeypatch.setattr(series, "_inner_diff_alternating", counting)
+        for u in (0.05, 1.0, 10.0):
+            taken.clear()
+            s_alpha_truncated(EvalParams(0.5, u, s=s), 500)
+            assert sum(taken) == entries, (s, u, taken)
 
     def test_s_equal_one_is_exact(self):
         # N = 500 runs past the alternating sums' cap
@@ -546,6 +629,11 @@ class TestResummedPowerSum:
         # exactly from N = 1 on
         assert resummed_power_partial(0.0, 2.0, 1) == pytest.approx(2.0, abs=1e-12)
         assert resummed_power_partial(0.0, 2.0, 40) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [2.0, 2.5, 7.0])
+    def test_n0_with_an_empty_exact_head(self, s):
+        want = 3.7 ** (1.0 - s)     # D_0(s, 3.7)
+        assert abs(resummed_power_partial(s, 2.7, 0) - want) <= 2e-15 * want
 
     def test_convergence_s3(self):
         # terms decay like log n / n^2: error ~ H_N / N
