@@ -11,13 +11,14 @@ Central objects:
 The alternating inner sums lose roughly one bit per order n, so two methods
 are provided and cross-checked:
 
-  * alternating_sum: the literal sum over 50-digit decimal values of
-    (k+u)^(1-s) or ln(k+u) (Decimal's own ** and ln), each computed once
-    per point for every n.  The sums themselves are exact (integer forward
-    differences on the values' common decimal grid), so cancellation
-    cannot pollute them, and each is rounded once to a float.  They serve
-    log_tn(..., alternating_sum) for n <= 40 and D_n for the few
-    n < n_q = max(2, ceil(2-s)), where n + s - 1 < 1 or n <= 1.
+  * alternating_sum: the literal sum over decimal values of (k+u)^(1-s)
+    or ln(k+u) (Decimal's own ** and ln), each computed once per point for
+    every n.  The sums themselves are exact (integer forward differences
+    on the values' common decimal grid), so cancellation cannot pollute
+    them, and each is rounded once to a float.  They serve
+    log_tn(..., alternating_sum) for n <= 40, at 50 digits, and D_n for
+    the few n < n_q = max(0, ceil(2-s)), where n + s - 1 < 1, at a
+    precision sized from s (50 digits down to about s = -20).
   * frullani_quadrature: one half-line integral,
 
         F_n(s, u) = int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt     (n + s > 1),
@@ -30,15 +31,17 @@ are provided and cross-checked:
     two np.power tables of 1-e^-t, and serves every n >= n_q of D_n at
     every real s.
 
-Against literal sums at 300 digits over u in {0.05, ..., 10}, D_n at
-n < n_q and at n_q, n_q + 10, n_q + 60 holds to 1.4e-14 relative on
+Against literal sums at 300 to 450 digits over u in {0.05, ..., 10}, the
+head n < n_q is correctly rounded on s = -20.5, -40.7, ..., -150.3.  The
+sweep's D_n at n_q, n_q + 10, n_q + 60 holds to 1.4e-14 relative on
 s = -0.7, -1.7, ..., -40.7, and to 1.6e-15 beside the poles of
-Gamma(s-1), at s = 1e-9 and s = -1 +- 1e-6.  Further down the 50-digit
-head fails: at u = 10 it is 4.2e-12 off at s = -60.3 and 0.13 at -80.3.
+Gamma(s-1), at s = 1e-9 and s = -1 +- 1e-6; D_0..D_3, D_10 and D_60 hold
+to 1.7e-15 on s in [1, 20].
 
-The truncated S_alpha sums report an err_est from the decay law
-|D_n| ~ C n^-u (log n)^(s-2), with C fitted to the computed terms; the fit
-is empirical, not a theorem.  The direct series is never truncated: it
+The truncated S_alpha sums report an err_est: the terms from N+1 to
+M = max(N, 10 n_q), summed, plus the tail past M of the decay law
+|D_n| ~ C n^-u (log n)^(s-2), with C fitted on [M/10, M]; the fit is
+empirical, not a theorem.  The direct series is never truncated: it
 sums an explicit head of at least 200 terms and adds the exact tail from
 log t_n(u) = int_0^inf B(u+v, n+1) dv (see _beta_tail).
 """
@@ -274,8 +277,10 @@ def _sweep_start(s: float) -> int:
 def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     """D_n(s,u) for n = 0..N, at every real s.
 
-    The exact sums serve n < n_q = max(2, ceil(2-s)) and the sweep, times
-    1/Gamma(s-1), every n >= n_q.  The sweep's integrand is positive, but
+    The exact sums serve n < n_q = _sweep_start(s), where the sweep's
+    integral does not converge to round-off, and the sweep, times
+    1/Gamma(s-1), every n >= n_q: every n from s = 2 on, and every n >= 1
+    from s = 1 on.  The sweep's integrand is positive, but
     its error grows with u and n: against 300-digit sums it is 3.3e-9
     relative at (s, u, n) = (2.9, 10, 501) and 2.2e-12 at (1.56, 4, 501).
     1/Gamma(s-1) = (s-1) s ... (s+m-1) / Gamma(s+m) with s + m >= 1/2:
@@ -336,10 +341,20 @@ def _median(a: np.ndarray) -> float:
 def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     """Partial sum of S_alpha(s, u) over n = 0..N.
 
-    err_est is twice the tail of the decay law D_n ~ C n^-u (log n)^(s-2),
-    with C fitted to the last decade of the computed differences, plus
-    1e-15 times the sum of the terms' magnitudes.  For s << 0 the sum is
-    ill-conditioned: at (alpha, s, u, N) = (0.5, -20, 1, 100) it reads
+    The terms are formed up to M = max(N, 10 n_q), past the exact head
+    n < n_q, where |D_n| may still grow.  err_est is |the sum of the terms
+    N+1..M| plus twice the tail past M of the decay law
+    D_n ~ C n^-u (log n)^(s-2), with C fitted on [M/10, M], plus 1e-15
+    times the sum of the M+1 terms' magnitudes.  At integer s <= 1 the fit
+    sees only exact zeros, so a terminated sum gets no tail.
+
+    Measured reach, against a 60-digit S_d on d in {0, 1, 3} x s in
+    {-20.5, -20, -15.5, -10.5, -10, -5.5, -5, -2.5, -2, ..., 0, 0.5, 1,
+    1.5, 2.5} x u in {0.05, 0.25, 1, 4, 10} x N in {1, 3, 5, 10, 20, 50,
+    100}: err_est covers all 1365 cells at s <= 0.  66 of the 420 cells at
+    s >= 0.5 under-report, all at N <= 50 and 48 of them at u = 10; the
+    worst is 414x at (d, s, u, N) = (0, 2.5, 10, 1).  For s << 0 the sum
+    is ill-conditioned: at (alpha, s, u, N) = (0.5, -20, 1, 100) it reads
     -7.36e5 against an exact 2719.8, with err_est 1.0e7.
     """
     p.require_s_alpha_valid()
