@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exactnum import bernoulli_second
-from .series import Approximation
+from .series import _LOG_MIN_NORMAL, Approximation
 
 __all__ = [
     "QuadConfig",
@@ -360,7 +360,13 @@ def integrate_double(alpha: float, u: float,
             one_minus_pq = eps_p + q.eps[None, :] - eps_p * q.eps[None, :]
             expo = (alpha * (log_eps_p - np.log(one_minus_pq))
                     + (u - 1.0) * log_pq)
-            return -np.exp(expo) / log_pq
+            # an exp below the normal range is 0, off libm's slow path;
+            # nan and inf stay.  The division and the sign are in place, to
+            # hold no further rows x nodes array.
+            xp = np.exp(expo, out=np.zeros_like(expo),
+                        where=~(expo < _LOG_MIN_NORMAL))
+            xp /= log_pq
+            return np.negative(xp, out=xp)
 
         # no non-finite guard here: at small u a live row's deep nodes
         # overflow to inf, and that must end in QuadratureNonConvergence

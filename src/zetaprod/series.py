@@ -16,9 +16,11 @@ are provided and cross-checked:
     every n.  The sums themselves are exact (integer forward differences
     on the values' common decimal grid), so cancellation cannot pollute
     them, and each is rounded once to a float.  They serve
-    log_tn(..., alternating_sum) for n <= 40, at 50 digits, and D_n for
-    the few n < n_q = max(0, ceil(2-s)), where n + s - 1 < 1, at a
-    precision sized from s (50 digits down to about s = -20).
+    log_tn(..., alternating_sum) for n <= 40, at 50 digits, and at s <= 0
+    D_n for the few n < n_q = max(0, ceil(2-s)), where n + s - 1 < 1, at
+    a precision sized from s (50 digits down to about s = -20).  At
+    0 < s < 2, where n_q <= 2, the head is the float pair D_0 = u^(1-s)
+    and D_1 = -u^(1-s) expm1((1-s) log1p(1/u)).
   * frullani_quadrature: one half-line integral,
 
         F_n(s, u) = int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt     (n + s > 1),
@@ -29,7 +31,8 @@ are provided and cross-checked:
     n > 1-s.  _frullani_sweep forms F_n on a double-exponential grid
     t = exp(tau - exp(-tau)), a whole range of n as one matrix product of
     two np.power tables of 1-e^-t, and serves every n >= n_q of D_n at
-    every real s.
+    every real s.  A table entry below the normal float range is 0, which
+    keeps pow off its slow subnormal path.
 
 Against literal sums at 300 to 450 digits over u in {0.05, ..., 10}, the
 head n < n_q is correctly rounded on s = -20.5, -40.7, ..., -150.3.  The
@@ -204,6 +207,11 @@ def _inner_diff_alternating(n_max: int, s: float, u: float) -> list[float]:
 _H_DE = 1.0 / 16.0
 _TAU_LO = -3.8
 
+# log of the smallest normal float, 2^-1022.  An exp or pow whose result
+# falls below it takes libm's slow path, at tens of times the cost of a
+# normal result.
+_LOG_MIN_NORMAL = math.log(2.0 ** -1022)
+
 
 def _halfline_nodes(u: float, n_max: int, s: float):
     """Nodes/weights for int_0^inf f(t) dt with f decaying like e^(-ut).
@@ -222,23 +230,39 @@ def _halfline_nodes(u: float, n_max: int, s: float):
     return t, w
 
 
+def _normal_powers(base: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """np.power(base, e) for base in (0, 1], with every power that
+    e log(base) puts below the normal float range taken as 0.
+
+    pow takes a slow path below the normal range, at tens of times the
+    cost of a normal power; on the benchmark's S_alpha sweeps 25-43 % of
+    the high table's entries land there.  Each kept entry is still one pow
+    call.
+    """
+    keep = e * np.log(base) >= _LOG_MIN_NORMAL
+    return np.power(base, e, out=np.zeros(keep.shape), where=keep)
+
+
 def _power_sums(base: np.ndarray, c: np.ndarray, n_max: int) -> np.ndarray:
     """sum_j c_j base_j^n for n = 0..n_max as one product of two tables.
 
     With n = jK + i and K = isqrt(n_max + 1), base^n = base^(jK) * base^i:
-    two small np.power tables and one (J x nodes) x (nodes x K) product.
-    Every power is one pow call, so its rounding does not grow with n as a
-    chained product's would.  The product is an einsum, numpy's own loop
-    in the calling thread: as a BLAS product a large sweep would start
-    OpenBLAS's worker threads, which spin on the other cores between calls,
-    and its rounding would depend on the thread count.
+    two small tables and one (J x nodes) x (nodes x K) product.  Every
+    power is one pow call, so its rounding does not grow with n as a
+    chained product's would.  A power below the normal range is 0
+    (_normal_powers); on the sweeps' nodes the subnormal powers lie far
+    below an ulp of each sum, and every sum tested keeps its bits.  The
+    product is an einsum, numpy's own loop in the calling thread: as a BLAS
+    product a large sweep would start OpenBLAS's worker threads, which spin
+    on the other cores between calls, and its rounding would depend on the
+    thread count.
     """
     count = n_max + 1
     K = math.isqrt(count)
     J = -(-count // K)
-    lo = np.power(base, np.arange(K, dtype=float)[:, None])
+    lo = _normal_powers(base, np.arange(K, dtype=float)[:, None])
     lo *= c
-    hi = np.power(base, K * np.arange(J, dtype=float)[:, None])
+    hi = _normal_powers(base, K * np.arange(J, dtype=float)[:, None])
     return np.einsum("jn,kn->jk", hi, lo).ravel()[:count]
 
 
@@ -277,10 +301,13 @@ def _sweep_start(s: float) -> int:
 def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     """D_n(s,u) for n = 0..N, at every real s.
 
-    The exact sums serve n < n_q = _sweep_start(s), where the sweep's
-    integral does not converge to round-off, and the sweep, times
-    1/Gamma(s-1), every n >= n_q: every n from s = 2 on, and every n >= 1
-    from s = 1 on.  The sweep's integrand is positive, but
+    The head n < n_q = _sweep_start(s), where the sweep's integral does
+    not converge to round-off, comes from closed forms: at s > 0, where
+    n_q <= 2, D_0 = u^p and D_1 = -u^p expm1(p log1p(1/u)) in float,
+    p = 1-s (within 4.4e-16 relative of 80-digit sums on s in 0.05..1.99
+    and the tests' u grid), and at s <= 0 the exact sums.  The sweep,
+    times 1/Gamma(s-1), serves every n >= n_q: every n from s = 2 on, and
+    every n >= 1 from s = 1 on.  The sweep's integrand is positive, but
     its error grows with u and n: against 300-digit sums it is 3.3e-9
     relative at (s, u, n) = (2.9, 10, 501) and 2.2e-12 at (1.56, 4, 501).
     1/Gamma(s-1) = (s-1) s ... (s+m-1) / Gamma(s+m) with s + m >= 1/2:
@@ -289,7 +316,13 @@ def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     """
     out = np.empty(N + 1)
     n_q = _sweep_start(s)
-    out[:n_q] = _inner_diff_alternating(min(N, n_q - 1), s, u)
+    if s <= 0:
+        out[:n_q] = _inner_diff_alternating(min(N, n_q - 1), s, u)
+    elif n_q:
+        p = 1.0 - s
+        d0 = u ** p
+        head = min(N + 1, n_q)
+        out[:head] = [d0, -d0 * math.expm1(p * math.log1p(1.0 / u))][:head]
     if N >= n_q:
         m = max(0, math.ceil(0.5 - s))
         norm = math.prod(s + k for k in range(-1, m)) / math.gamma(s + m)

@@ -197,6 +197,21 @@ class TestInnerDifferencesAtEveryS:
         want = np.array(literal_inner_diffs(s, u, ns, dps=80))
         assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want)), (got, want)
 
+    @pytest.mark.parametrize("s", [0.05, 0.5, 0.9, 1.0, 1.5, 1.99])
+    @pytest.mark.parametrize("u", GRID_U)
+    def test_float_head_against_80_digits(self, s, u):
+        # 0 < s < 2: D_0 = u^(1-s) in float, and below s = 1 also
+        # D_1 = -u^(1-s) expm1((1-s) log1p(1/u)); from s = 1 on D_1 is the
+        # sweep's.  The bound is against the unrounded sums.
+        mpmath = pytest.importorskip("mpmath")
+        got = _inner_differences(s, u, 1)
+        with mpmath.workdps(80):
+            e = 1 - mpmath.mpf(s)
+            f0, f1 = (mpmath.power(mpmath.mpf(u) + k, e) for k in (0, 1))
+            for n, want in enumerate([f0, f0 - f1][:math.ceil(2.0 - s)]):
+                assert abs(got[n] - want) <= 4.5e-16 * abs(want), n
+        assert s != 1.0 or got[0] == 1.0
+
     @pytest.mark.parametrize("s", [2.0, 2.5, 7.0])
     @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
     def test_empty_exact_head(self, s, u):
@@ -354,10 +369,41 @@ def _max_rel(got, want):
     return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
+def unmasked_power_sums(base, c, n_max):
+    """_power_sums with every power taken by np.power, subnormals too."""
+    count = n_max + 1
+    K = math.isqrt(count)
+    J = -(-count // K)
+    lo = np.power(base, np.arange(K, dtype=float)[:, None]) * c
+    hi = np.power(base, K * np.arange(J, dtype=float)[:, None])
+    return np.einsum("jn,kn->jk", hi, lo).ravel()[:count]
+
+
 class TestPowerSumKernel:
     """One matrix product of np.power tables forms sum_j c_j base_j^n for a
     whole range of n; n = n_lo + jK + i with K = isqrt(count), so the
     entries around n - n_lo = K are where the two tables hand over."""
+
+    @pytest.mark.parametrize("s,u,N", [(1.0, 0.05, 200), (1.0, 10.0, 200),
+                                       (2.3, 1.0, 500), (0.8, 5.0, 500),
+                                       (2.9, 0.06, 500), (1.0, 0.7, 10001)])
+    def test_subnormal_powers_leave_the_sums_alone(self, s, u, N):
+        # the tables take a power below the normal range as 0; on the
+        # sweeps' nodes every sum keeps its bits
+        n_q = max(0, math.ceil(2.0 - s))
+        base, c = _frullani_nodes(u, s, n_q, N)
+        got = series._power_sums(base, c, N - n_q)
+        want = unmasked_power_sums(base, c, N - n_q)
+        assert got.tobytes() == want.tobytes()
+
+    def test_keeps_every_normal_power(self):
+        # K = 34: 0.5^(30 K) = 2^-1020 is the last normal high power, so
+        # n < 31 K is an exact power of 2 (subnormal past n = 1022) and
+        # every n from 31 K on is 0
+        got = series._power_sums(np.array([0.5]), np.array([1.0]), 1155)
+        n = np.arange(1156)
+        assert np.array_equal(got[:31 * 34], np.ldexp(1.0, -n[:31 * 34]))
+        assert not got[31 * 34:].any()
 
     @pytest.mark.parametrize("n_max", [1, 2, 3, 41, 100, 101, 10000, 10001])
     @pytest.mark.parametrize("u", [0.05, 1.0, 10.0])
@@ -462,12 +508,14 @@ class TestSAlphaTruncated:
                 a = s_alpha_truncated(EvalParams(float(d), u, s=s), N)
                 assert abs(mpmath.mpf(a.value) - full) <= a.err_est, N
 
-    @pytest.mark.parametrize("s,entries", [(2.0, 0), (2.5, 0), (3.0, 0),
-                                           (1.0, 1), (1.5, 1), (1.9, 1)])
+    @pytest.mark.parametrize("s,entries", [
+        (s, 0) for s in (0.5, 1.0, 1.5, 1.9, 2.0, 2.5, 3.0)]
+        + [(0.0, 2), (-0.5, 3), (-2.5, 5)])
     def test_decimal_serves_only_what_the_sweep_cannot(self, monkeypatch, s,
                                                        entries):
-        # the benchmark's box: past D_0 (and from s = 2 on, D_0 too) every
-        # D_n comes from the sweep, so at most one Decimal power is taken
+        # the benchmark's box takes no Decimal power: from s = 2 on the
+        # sweep serves every D_n, and at 0 < s < 2 the float pair D_0, D_1
+        # serves what it does not; at s <= 0 the exact sums take all n_q
         taken = []
         real = series._inner_diff_alternating
 
