@@ -41,12 +41,10 @@ s = -0.7, -1.7, ..., -40.7, and to 1.6e-15 beside the poles of
 Gamma(s-1), at s = 1e-9 and s = -1 +- 1e-6; D_0..D_3, D_10 and D_60 hold
 to 1.7e-15 on s in [1, 20].
 
-The truncated S_alpha sums report an err_est: the terms from N+1 to
-M = max(N, 10 n_q), summed, plus the tail past M of the decay law
-|D_n| ~ C n^-u (log n)^(s-2), with C fitted on [M/10, M]; the fit is
-empirical, not a theorem.  The direct series is never truncated: it
-sums an explicit head of at least 200 terms and adds the exact tail from
-log t_n(u) = int_0^inf B(u+v, n+1) dv (see _beta_tail).
+The truncated S_alpha sums take their err_est from the exact tail, on the
+sweep's own nodes (_s_alpha_tail).  The direct series is never truncated:
+an explicit head of at least 200 terms plus the exact tail from
+log t_n(u) = int_0^inf B(u+v, n+1) dv (_beta_tail).
 """
 
 from __future__ import annotations
@@ -211,23 +209,27 @@ _TAU_LO = -3.8
 # falls below it takes libm's slow path, at tens of times the cost of a
 # normal result.
 _LOG_MIN_NORMAL = math.log(2.0 ** -1022)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _halfline_nodes(u: float, n_max: int, s: float):
-    """Nodes/weights for int_0^inf f(t) dt with f decaying like e^(-ut).
-
-    The map t = exp(tau - exp(-tau)) sends both tails to double-exponential
-    decay.  The upper cutoff tracks the integrand support: the kernel
-    (1-e^-t)^n suppresses t below log(n/u) and e^(-ut) t^(s-2) dies past it.
+    """The node record of the kernels (1-e^-t)^n e^(-ut) t^(s-2), n <= n_max:
+    weights w, x = 1-e^-t, log x and the log kernel log(w e^-ut t^(s-2)), on
+    t = exp(tau - exp(-tau)), which sends both tails to double-exponential
+    decay.  The upper cutoff tracks the integrand support: (1-e^-t)^n
+    suppresses t below log(n/u) and e^(-ut) t^(s-2) dies past it.
     """
     t_peak = math.log(max(n_max, 1) / u + 10.0)
     t_max = t_peak + (52.0 + 8.0 * max(0.0, s - 2.0)) / u
+    if t_max == math.inf:
+        raise ValueError(f"u = {u}: the half-line nodes' cutoff 52/u is inf")
     tau_hi = math.log(t_max) + 0.2
     taus = np.arange(_TAU_LO, tau_hi + _H_DE, _H_DE)
     emt = np.exp(-taus)
     t = np.exp(taus - emt)
     w = _H_DE * t * (1.0 + emt)
-    return t, w
+    base = -np.expm1(-t)                      # 1 - e^-t, accurate near 0
+    return w, base, np.log(base), np.log(w) - u * t + (s - 2.0) * np.log(t)
 
 
 def _normal_powers(base: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -266,16 +268,23 @@ def _power_sums(base: np.ndarray, c: np.ndarray, n_max: int) -> np.ndarray:
     return np.einsum("jn,kn->jk", hi, lo).ravel()[:count]
 
 
-def _frullani_sweep(u: float, s: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt for n = n_lo..n_hi.
+def _node_exp(log_terms: np.ndarray) -> np.ndarray:
+    """np.exp of node terms formed in log space, a ValueError past floats."""
+    if log_terms.max() > _LOG_MAX:
+        raise ValueError("the half-line integrand overflows a float")
+    return np.exp(log_terms)
+
+
+def _frullani_sweep(u: float, s: float, n_lo: int, n_hi: int, nodes=None):
+    """int_0^inf (1-e^-t)^n e^(-ut) t^(s-2) dt for n = n_lo..n_hi, on
+    nodes = _halfline_nodes(u, n_hi, s) (built here when not given).
 
     Needs n_lo + s - 1 >= 1.  Each node's coefficient is formed in log
     space with (1-e^-t)^n_lo folded in, so it behaves like t^(n_lo+s-2) as
     t -> 0 and stays finite however far below 0 s lies.
     """
-    t, w = _halfline_nodes(u, n_hi, s)
-    base = -np.expm1(-t)                      # 1 - e^-t, accurate near 0
-    c = np.exp(np.log(w) - u * t + (s - 2.0) * np.log(t) + n_lo * np.log(base))
+    _, base, log_base, log_kernel = nodes or _halfline_nodes(u, n_hi, s)
+    c = _node_exp(log_kernel + n_lo * log_base)
     return _power_sums(base, c, n_hi - n_lo)
 
 
@@ -298,8 +307,15 @@ def _sweep_start(s: float) -> int:
     return max(0, math.ceil(2.0 - s))
 
 
-def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
-    """D_n(s,u) for n = 0..N, at every real s.
+def _recip_gamma_sm1(s: float) -> float:
+    """1/Gamma(s-1) as (s-1) s ... (s+m-1) / Gamma(s+m), s + m >= 1/2: no
+    factor rounds next to a pole, and at integer s <= 1 one is exactly 0."""
+    m = max(0, math.ceil(0.5 - s))
+    return math.prod(s + k for k in range(-1, m)) / math.gamma(s + m)
+
+
+def _inner_differences(s: float, u: float, N: int, nodes=None) -> np.ndarray:
+    """D_n(s,u) for n = 0..N, at every real s (nodes: see _frullani_sweep).
 
     The head n < n_q = _sweep_start(s), where the sweep's integral does
     not converge to round-off, comes from closed forms: at s > 0, where
@@ -310,9 +326,6 @@ def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
     every n >= 1 from s = 1 on.  The sweep's integrand is positive, but
     its error grows with u and n: against 300-digit sums it is 3.3e-9
     relative at (s, u, n) = (2.9, 10, 501) and 2.2e-12 at (1.56, 4, 501).
-    1/Gamma(s-1) = (s-1) s ... (s+m-1) / Gamma(s+m) with s + m >= 1/2:
-    each factor is formed from s, so none rounds next to a pole, and at
-    integer s <= 1 one factor is exactly 0 (D_n = 0 for n > 1-s).
     """
     out = np.empty(N + 1)
     n_q = _sweep_start(s)
@@ -324,9 +337,7 @@ def _inner_differences(s: float, u: float, N: int) -> np.ndarray:
         head = min(N + 1, n_q)
         out[:head] = [d0, -d0 * math.expm1(p * math.log1p(1.0 / u))][:head]
     if N >= n_q:
-        m = max(0, math.ceil(0.5 - s))
-        norm = math.prod(s + k for k in range(-1, m)) / math.gamma(s + m)
-        out[n_q:] = norm * _frullani_sweep(u, s, n_q, N)
+        out[n_q:] = _recip_gamma_sm1(s) * _frullani_sweep(u, s, n_q, N, nodes)
     return out
 
 
@@ -356,38 +367,40 @@ def log_tn(n: int, u: float,
     return float(_frullani_sweep(u, 1.0, n, n)[0])
 
 
-def _median(a: np.ndarray) -> float:
-    """np.median of a nonempty 1-d array, nan if it holds a nan.
+def _s_alpha_tail(nodes, norm: float, a: float, M: int):
+    """sum_{n>M} D_n(s,u)/(n+a) on the sweep's _halfline_nodes(u, ., s), with
+    norm = 1/Gamma(s-1), and its error estimate: the change from the
+    h = 1/8 to the h = 1/16 rule.  Needs M + s > 0 and M + a > 0.
 
-    np.median's first call imports numpy.ma, which costs a fresh process
-    tens of milliseconds; np.partition does not.
+    With x = 1-e^-t, sum_{n>M} x^n/(n+a) = x^-a int_0^t (1-e^-r)^(M+a) dr,
+    so the tail is norm int_0^inf e^(-ut) t^(s-2) x^-a G(t) dt, G the
+    running trapezoid sum of (1-e^-t)^(M+a) w.  Both rules start at the
+    first node where that is not 0, rounded up to an even index, and each
+    term is formed in log space.
     """
-    n = a.size
-    part = np.partition(a, [(n - 1) // 2, n // 2, n - 1])
-    if np.isnan(part[-1]):
-        return math.nan
-    if n % 2:
-        return float(part[n // 2])
-    return float(0.5 * (part[n // 2 - 1] + part[n // 2]))
+    w, _, log_base, log_kernel = nodes
+    g = w * np.exp((M + a) * log_base)
+    j0 = int(np.argmax(g > 0))
+    j0 += j0 % 2
+    g, lt = g[j0:], log_kernel[j0:] - a * log_base[j0:]
+    fine = float(_node_exp(lt + np.log(np.cumsum(g) - 0.5 * g)).sum())
+    g = 2.0 * g[::2]
+    coarse = float(_node_exp(lt[::2] + np.log(np.cumsum(g) - 0.5 * g)).sum())
+    return norm * fine, abs(norm * (fine - 2.0 * coarse))
 
 
 def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
     """Partial sum of S_alpha(s, u) over n = 0..N.
 
-    The terms are formed up to M = max(N, 10 n_q), past the exact head
-    n < n_q, where |D_n| may still grow.  err_est is |the sum of the terms
-    N+1..M| plus twice the tail past M of the decay law
-    D_n ~ C n^-u (log n)^(s-2), with C fitted on [M/10, M], plus 1e-15
-    times the sum of the M+1 terms' magnitudes.  At integer s <= 1 the fit
-    sees only exact zeros, so a terminated sum gets no tail.
+    err_est is |the terms N+1..M plus the exact tail past M| (summed; M =
+    max(N, n_q - 1, floor(-alpha))), plus the tail's quadrature error and
+    1e-15 (1 + the magnitudes of the terms and the tail).
 
-    Measured reach, against a 60-digit S_d on d in {0, 1, 3} x s in
-    {-20.5, -20, -15.5, -10.5, -10, -5.5, -5, -2.5, -2, ..., 0, 0.5, 1,
-    1.5, 2.5} x u in {0.05, 0.25, 1, 4, 10} x N in {1, 3, 5, 10, 20, 50,
-    100}: err_est covers all 1365 cells at s <= 0.  66 of the 420 cells at
-    s >= 0.5 under-report, all at N <= 50 and 48 of them at u = 10; the
-    worst is 414x at (d, s, u, N) = (0, 2.5, 10, 1).  For s << 0 the sum
-    is ill-conditioned: at (alpha, s, u, N) = (0.5, -20, 1, 100) it reads
+    Measured reach, against a 60-digit S_d: err_est covers all 1785 cells
+    of d in {0, 1, 3} x 17 s in [-20.5, 2.5] x 5 u in [0.05, 10] x N in
+    {1, ..., 100}, and all 1080 of d in {0, 2, 5} x 9 s in [-1.5, 3.5] x
+    8 u in [0.05, 10] x N in {10, ..., 1000}.  For s << 0 the sum is
+    ill-conditioned: at (alpha, s, u, N) = (0.5, -20, 1, 100) it reads
     -7.36e5 against an exact 2719.8, with err_est 1.0e7.
     """
     p.require_s_alpha_valid()
@@ -395,28 +408,16 @@ def s_alpha_truncated(p: EvalParams, N: int) -> Approximation:
         raise ValueError("s_alpha_truncated: params must carry s")
     if N < 1:
         raise ValueError("s_alpha_truncated: N must be >= 1")
-    M = max(N, 10 * _sweep_start(p.s))
-    inner = _inner_differences(p.s, p.u, M)
-    ns = np.arange(M + 1, dtype=float)
-    weights = 1.0 / (ns + p.alpha + 1.0)
-    terms = inner * weights
-    value = math.fsum(terms[:N + 1])
-    rounding = 1e-15 * (1.0 + float(np.abs(terms).sum()))
-    # C: the median of |D_n| n^u (log n)^(2-s) over n in [M/10, M], with
-    # log n read at n >= 2, where it is positive.  With n = M e^t the tail
-    # sum_{n>M} C n^-(u+1) (log n)^(s-2) is
-    # C M^-u int_0^inf e^(-ut) (log M + t)^(s-2) dt.
-    lo = max(1, M // 10)
-    log_n = np.log(np.maximum(ns[lo:], 2.0))
-    c = _median(np.abs(inner[lo:]) * ns[lo:] ** p.u * log_n ** (2.0 - p.s))
-    t, w = _halfline_nodes(p.u, 1, p.s)
-    shape = np.dot(w, np.exp(-p.u * t) * (log_n[-1] + t) ** (p.s - 2.0))
-    tail = c * math.exp(-p.u * log_n[-1]) * float(shape)
-    # Against a 30-digit S_d, error / tail ran 0.13-1.76 wherever the error
-    # passed 1e-12, over d in {0, 2, 5}, s in 0.5..3.5, u in 0.05..10 and
-    # N in {100, 500, 1000}; hence the factor 2.
-    return Approximation(value, abs(math.fsum(terms[N + 1:])) + 2.0 * tail
-                         + rounding, N + 1)
+    a = p.alpha + 1.0
+    M = max(N, _sweep_start(p.s) - 1, math.floor(-a) + 1)
+    nodes = _halfline_nodes(p.u, M, p.s)
+    terms = (_inner_differences(p.s, p.u, M, nodes)
+             * (1.0 / (np.arange(M + 1, dtype=float) + p.alpha + 1.0)))
+    tail, tail_err = _s_alpha_tail(nodes, _recip_gamma_sm1(p.s), a, M)
+    value = math.fsum(terms[:N + 1].tolist())
+    rounding = 1e-15 * (1.0 + float(np.abs(terms).sum()) + abs(tail))
+    return Approximation(value, abs(math.fsum(terms[N + 1:].tolist()) + tail)
+                         + tail_err + rounding, N + 1)
 
 
 # --------------------------------------------------------------------------
@@ -478,16 +479,11 @@ def _beta_tail(u: float, a1: float, X: int) -> tuple[float, float]:
     plus the size of the last (m = 14) term.
 
     Needs X >> |a1|; nodes with s = u+v > X/4, where the expansions in s/X
-    fail, are dropped (their weight there is below (4e)^(-X/4)).  Raises a
-    ValueError for u below the smallest node offset v (about 2e-25), where
-    the nodes step over Gamma(s)'s 1/s peak and both the value and the error
-    estimate fall short of the tail.
+    fail, are dropped (their weight there is below (4e)^(-X/4)).  Needs
+    u >= _ES_Z[0] / log X (about 2e-25), the smallest node offset v, below
+    which the nodes step over Gamma(s)'s 1/s peak (log_z_direct checks it).
     """
     log_x = math.log(X)
-    v_min = _ES_Z[0] / log_x
-    if u < v_min:
-        raise ValueError(f"log_z_direct: u = {u} is below {v_min:.3g}, the "
-                         f"smallest node of the tail's exp-sinh rule")
     keep = int(np.searchsorted(_ES_Z, (0.25 * X - u) * log_x, side="right"))
     s = u + _ES_Z[:keep] / log_x
     w = _ES_W[:keep] / log_x * np.array([math.gamma(x) for x in s])
@@ -540,6 +536,10 @@ def log_z_direct(p: EvalParams, N: int | None = None,
     if N is not None and N < n_head:
         raise ValueError(f"log_z_direct: the series head is {n_head} "
                          f"terms at alpha = {p.alpha}, above N = {N}")
+    v_min = _ES_Z[0] / math.log(n_head + 1)
+    if p.u < v_min:
+        raise ValueError(f"log_z_direct: u = {p.u} is below {v_min:.3g}, "
+                         f"the smallest node of the tail's exp-sinh rule")
     logt = log_tn_sweep(p.u, n_head)
     ns = np.arange(1, n_head + 1, dtype=float)
     head = float(np.sum(logt[1:] / (ns + a1)))

@@ -272,6 +272,20 @@ class TestCrosscheckCommand:
         assert code == EXIT_PASS
         assert "18 pass, 0 fail" in out
 
+    def test_csv_has_one_row_per_route_and_cell(self, capsys):
+        grid = ("--grid-d", "0..1", "--grid-u", "1,2")
+        code, out, _ = run(capsys, "crosscheck", *grid, "--format", "csv")
+        assert code == EXIT_PASS
+        rows = list(csv.reader(io.StringIO(out)))
+        _, js, _ = run(capsys, "crosscheck", *grid, "--format", "json")
+        want = [[str(d), repr(cell["request"]["u"]), r["route"],
+                 repr(r["value"]), repr(r["err_est"]), str(r["terms"])]
+                for d, cell in zip((0, 0, 1, 1), json.loads(js)["cells"])
+                for r in cell["results"]]
+        assert rows[0] == ["d", "u", "route", "value", "err_est", "terms"]
+        assert rows[1:] == want
+        assert len(want) == 4 * len(ROUTES)
+
     @pytest.mark.parametrize("argv,where", [
         (("eval", "--alpha", "0.5", "--u", "0.1"), "alpha=0.5, u=0.1"),
         (("crosscheck", "--grid-d", "0..1", "--grid-u", "1,0.05"),
@@ -310,6 +324,15 @@ class TestCrosscheckCommand:
         assert out == ""
         assert err.startswith("error: series at alpha=0.5, u=1e-30: ")
         assert "smallest node" in err
+
+    def test_subnormal_u_names_the_tail_floor(self, capsys):
+        # the tail's floor is checked before the sweep, whose nodes end at
+        # 52/u = inf here
+        code, out, err = run(capsys, "eval", "--d", "-1", "--u", "5e-324")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: series at alpha=-1.0, u=5e-324: ")
+        assert "below 2.33e-25, the smallest node" in err
 
 
 class TestNoApplicableRoute:
@@ -424,8 +447,14 @@ class TestUsageErrors:
         (("zeta", "--s", "nan"), "s must be finite"),
         (("zeta", "--s", "inf"), "s must be finite"),
         (("zeta", "--s=-inf", "--deriv"), "s must be finite"),
+        (("eval", "--d", "1", "--u", "1", "--tol", "0"), "tol must be > 0"),
+        (("crosscheck", "--tol", "0"), "tol must be > 0"),
+        (("stirling", "--n", "-1", "--k", "0", "--u", "1"), "n must be >= 0"),
+        (("stirling", "--n", "3", "--k", "1", "--u", "inf"),
+         "u must be finite"),
+        (("zeta", "--s", "2", "--u", "0"), "u must be > 0"),
     ])
-    def test_non_finite_input_is_a_domain_error(self, capsys, argv, message):
+    def test_invalid_input_is_a_domain_error(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {message}")

@@ -422,11 +422,12 @@ class TestDouble:
     def test_small_u_is_never_a_domain_error(self):
         # at small u the inner pass overflows to inf at deep nodes; that is a
         # numeric failure (CLI exit 1), not a ValueError (CLI exit 2)
-        try:
-            a = integrate_double(1.0, 0.1)
-        except QuadratureNonConvergence:
-            return
-        assert math.isfinite(a.value)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            try:
+                a = integrate_double(1.0, 0.1)
+            except QuadratureNonConvergence:
+                a = None
+        assert a is None or math.isfinite(a.value)
 
 
 class TestDoubleMatchesAllRowsPasses:

@@ -304,21 +304,9 @@ class TestExactAlternatingSums:
             assert series._alternating_sums(f) == [math.inf, -math.inf, -math.inf]
 
 
-class TestMedian:
-    """series._median is np.median without its numpy.ma import."""
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9000, 9001])
-    def test_equals_np_median(self, n):
-        rng = np.random.default_rng(n)
-        for a in (rng.standard_normal(n), rng.integers(0, 3, n) * 1.0,
-                  np.exp(50 * rng.standard_normal(n))):
-            assert series._median(a) == float(np.median(a))
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 8])
-    def test_nan_window(self, n):
-        a = np.arange(n, dtype=float)
-        a[n // 2] = np.nan
-        assert math.isnan(series._median(a)) and math.isnan(np.median(a))
+class TestImportCost:
+    """The series routes never pull in numpy.ma (np.median's first call
+    imports it, which costs a fresh process tens of milliseconds)."""
 
     def test_log_z_direct_leaves_numpy_ma_unimported(self):
         code = ("import sys\n"
@@ -348,10 +336,8 @@ def _node_sum_reference(base, c, ns):
 
 def _frullani_nodes(u, s, n_lo, n_hi):
     """1-e^-t and the kernel's coefficient, with (1-e^-t)^n_lo folded in."""
-    t, w = _halfline_nodes(u, n_hi, s)
-    base = -np.expm1(-t)
-    return base, np.exp(np.log(w) - u * t + (s - 2.0) * np.log(t)
-                        + n_lo * np.log(base))
+    _, base, log_base, log_kernel = _halfline_nodes(u, n_hi, s)
+    return base, np.exp(log_kernel + n_lo * log_base)
 
 
 def loop_frullani_sweep(u, s, n_lo, n_hi):
@@ -446,6 +432,19 @@ class TestPowerSumKernel:
         assert _max_rel(got, want) <= 1e-14
 
 
+def s_d_60_digits(d, s, u):
+    """S_d(s,u) = sum_k row(d, 1-u)[k] (s-k-1) zeta(s-k, u) / d! at 60
+    digits, the formula of bench/oracle.py."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        uq = Fraction(u)
+        U = mpmath.mpf(uq.numerator) / uq.denominator
+        row = row_by_gf(d, 1 - uq).coeffs
+        return sum(mpmath.mpf(c.numerator) / c.denominator
+                   * (s - k - 1) * mpmath.zeta(s - k, U)
+                   for k, c in enumerate(row)) / math.factorial(d)
+
+
 class TestSAlphaTruncated:
     def test_terminating_positive_integer_power(self):
         # 1-s = 1: inner sums vanish for n > 1, so any N >= 2 gives the
@@ -497,16 +496,37 @@ class TestSAlphaTruncated:
         # full S_d a decay law fitted to [N/10, N] under-reported by 4.1e8x
         # at (d, s, u, N) = (0, -20.5, 0.05, 3)
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(60):
-            uq = Fraction(u)
-            U = mpmath.mpf(uq.numerator) / uq.denominator
-            row = row_by_gf(d, 1 - uq).coeffs
-            full = sum(mpmath.mpf(c.numerator) / c.denominator
-                       * (s - k - 1) * mpmath.zeta(s - k, U)
-                       for k, c in enumerate(row)) / math.factorial(d)
-            for N in (1, 3, 10):
-                a = s_alpha_truncated(EvalParams(float(d), u, s=s), N)
-                assert abs(mpmath.mpf(a.value) - full) <= a.err_est, N
+        full = s_d_60_digits(d, s, u)
+        for N in (1, 3, 10):
+            a = s_alpha_truncated(EvalParams(float(d), u, s=s), N)
+            assert abs(mpmath.mpf(a.value) - full) <= a.err_est, N
+
+    @pytest.mark.parametrize("d,s,u,N", [
+        (0, 2.5, 10.0, 1), (0, 3.5, 10.0, 50),
+        *((d, 0.5, 0.05, 1) for d in (0, 1, 3))])
+    def test_err_est_covers_with_the_exact_tail(self, d, s, u, N):
+        # a decay law fitted to the terms under-reported these cells, by
+        # 414x at (0, 2.5, 10, 1), 1.3x at (0, 3.5, 10, 50) and 1.04x at
+        # u = 0.05, where the terms fall like n^-0.05
+        mpmath = pytest.importorskip("mpmath")
+        a = s_alpha_truncated(EvalParams(float(d), u, s=s), N)
+        assert abs(mpmath.mpf(a.value) - s_d_60_digits(d, s, u)) <= a.err_est
+
+    @pytest.mark.parametrize("u", [0.5, 4.0])
+    @pytest.mark.parametrize("M", [1, 10, 100])
+    def test_tail_against_the_zeta_tail(self, u, M):
+        # at s = 2, D_n = B(u, n+1), so sum_{n>M} D_n/(n+1) is
+        # zeta(2,u) - sum_{n<=M} B(u, n+1)/(n+1).  The running trapezoid
+        # sum is O(h^2), so its error is a third of the h-vs-2h difference
+        mpmath = pytest.importorskip("mpmath")
+        nodes = _halfline_nodes(u, M, 2.0)
+        tail, err = series._s_alpha_tail(nodes, 1.0, 1.0, M)
+        with mpmath.workdps(40):
+            U = mpmath.mpf(u)
+            exact = mpmath.zeta(2, U) - mpmath.fsum(
+                mpmath.beta(U, n + 1) / (n + 1) for n in range(M + 1))
+            ratio = abs(tail - exact) / err
+        assert 0.3 <= ratio <= 0.4, ratio
 
     @pytest.mark.parametrize("s,entries", [
         (s, 0) for s in (0.5, 1.0, 1.5, 1.9, 2.0, 2.5, 3.0)]
@@ -529,6 +549,17 @@ class TestSAlphaTruncated:
             taken.clear()
             s_alpha_truncated(EvalParams(0.5, u, s=s), 500)
             assert sum(taken) == entries, (s, u, taken)
+
+    @pytest.mark.parametrize("u,cause", [
+        (5e-324, r"u = 5e-324: .* 52/u is inf"),
+        (1e-310, r"u = 1e-310: .* 52/u is inf"),
+        (1e-300, "overflows a float")])
+    def test_tiny_u_names_the_cause(self, u, cause):
+        # far below the documented u the nodes' cutoff or the integrand
+        # leaves the float range; the error says which, with no numpy
+        # RuntimeWarning or "err_est must be finite" on the way
+        with pytest.raises(ValueError, match=cause):
+            s_alpha_truncated(EvalParams(0.5, u, s=2.5), 10)
 
     def test_s_equal_one_is_exact(self):
         # N = 500 runs past the alternating sums' cap
@@ -650,7 +681,7 @@ class TestExactTail:
         assert abs(a.value - ref) <= a.err_est
 
     @pytest.mark.parametrize("alpha", [0.0, 40.0])
-    @pytest.mark.parametrize("u", [2e-25, 1e-30, 1e-300])
+    @pytest.mark.parametrize("u", [2e-25, 1e-30, 1e-300, 5e-324])
     def test_u_below_the_tail_nodes_raises(self, alpha, u):
         # below the exp-sinh rule's smallest node the tail misses Gamma's
         # 1/u peak: 1e-30 summed to 1.5e25 with err_est 1.4e25
